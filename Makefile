@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check bench bench-smoke bench-diff lbicd-smoke cluster-smoke advsearch-smoke tables figures ablations workloads fuzz reproduce clean
+.PHONY: all build vet test test-short check perfbench-vet bench bench-smoke bench-diff lbicd-smoke cluster-smoke advsearch-smoke tables figures ablations workloads fuzz reproduce clean
 
 all: build vet test
 
@@ -16,22 +16,29 @@ vet:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: vet, the full suite under the race detector, and
-# one plain pass so the fuzz corpus seeds run as regression tests.
-check:
+# check is the CI gate: vet, the full suite under the race detector, one
+# plain pass so the fuzz corpus seeds run as regression tests, and a build of
+# the benchmark module.
+check: perfbench-vet
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/asm/ ./internal/oracle/ ./internal/tracecache/
+
+# perfbench-vet vets and builds the benchmark module (perfbench/, a module of
+# its own that `go build ./...` at the root never compiles), so an API change
+# it depends on fails here rather than when the benchmark runs.
+perfbench-vet:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 test-short:
 	$(GO) test -short ./...
 
 # bench runs the full benchmark suite (table regenerations, simulator
 # throughput live vs trace replay, the zero-alloc core microbenchmark, the
-# lane-batched stepping microbenchmark, the coded-banks arbiter step cost,
-# and the lbicd served-vs-direct latency comparison) and records the results
-# as JSON. BENCH_PR10.json in the repo root is the checked-in snapshot;
-# regenerate it here after performance work.
+# coded-banks arbiter step cost, and the lbicd served-vs-direct latency
+# comparison) and records the results as JSON in BENCH_OUT (default
+# BENCH_PR10.json, the latest checked-in snapshot); set BENCH_OUT to record a
+# new snapshot after performance work.
 BENCH_OUT ?= BENCH_PR10.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/cpu/ ./internal/server/ \
@@ -39,11 +46,11 @@ bench:
 
 # bench-smoke is the CI gate: one iteration of every benchmark, parsed by
 # benchjson so a broken benchmark or malformed output fails the build, plus
-# one lane-batched table sweep so the -lanes path is exercised end to end.
+# one parallel table sweep so the sweep path is exercised end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/cpu/ ./internal/server/ \
 		| $(GO) run ./scripts/benchjson -o /dev/null
-	$(GO) run ./cmd/lbictables -all -insts 5000 -jobs 4 -lanes 4 > /dev/null
+	$(GO) run ./cmd/lbictables -all -insts 5000 -jobs 4 > /dev/null
 
 # bench-diff is the perf regression gate: ns/op drift between the two most
 # recent checked-in benchmark snapshots past the threshold fails unless

@@ -59,21 +59,6 @@ func BenchmarkTable3PortModels(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3PortModelsLaned regenerates Table 3 with each benchmark's
-// port axis stepped as one lane batch off a shared decode cursor (the
-// lbictables default since -lanes). Compare against BenchmarkTable3PortModels
-// — the same 130 simulations run scalar — for the decode-amortization win.
-func BenchmarkTable3PortModelsLaned(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sw := experiments.NewSweep(benchInsts)
-		sw.Lanes = -1
-		if _, err := experiments.Table3(sw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFigure3RefStream regenerates Figure 3: the consecutive-reference
 // mapping distribution over an infinite 4-bank cache.
 func BenchmarkFigure3RefStream(b *testing.B) {

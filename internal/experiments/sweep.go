@@ -57,17 +57,10 @@ type Sweep struct {
 	// fault-isolation machinery end to end.
 	InjectPanic []string
 	InjectHang  []string
-	// Lanes controls vectorized multi-config stepping: simulation cells that
-	// share one (program, budget) instruction stream are grouped into lane
-	// batches stepping off a shared decode cursor (see lbic.SimulateBatch),
-	// so each dynamic instruction is decoded once per batch instead of once
-	// per cell. 0 or 1 runs every cell on the scalar path (the zero-value
-	// default); < 0 batches a whole shared-stream group (the full port
-	// axis); >= 2 caps the batch width. Results are byte-identical at any
-	// width, and cell keys — the journal identity — do not change, so
-	// journals resume across widths in both directions. Fault injection
-	// disables batching: injected faults must land on exactly the named
-	// cell, not a whole batch.
+	// Lanes is ignored: every cell runs on the sweep's one execution path.
+	//
+	// Deprecated: lane batching was removed; the field remains only so
+	// existing callers still compile.
 	Lanes int
 
 	log   *failureLog
@@ -201,16 +194,10 @@ func (sw *Sweep) options() runner.Options {
 // in the failure log and simply absent from the map. The error is nil unless
 // the context was canceled or (without KeepGoing) a cell failed.
 func sweepRun[T any](sw *Sweep, cells []runner.Cell[T]) (map[string]T, error) {
-	// Simulation sweeps (float64 grids) route through the laned runner when
-	// batching is enabled: cells sharing a stream step in lockstep off one
-	// cursor. Fault injection forces the scalar path — see Sweep.Lanes.
-	if fc, ok := any(cells).([]runner.Cell[float64]); ok && sw.laned() {
-		m, err := sw.runLaned(fc)
-		return any(m).(map[string]T), err
-	}
+	m := make(map[string]T, len(cells))
+	cells = settleCached(sw, cells, m)
 	injectFaults(sw, cells)
 	out, err := runner.Run(sw.context(), cells, sw.options())
-	m := make(map[string]T, len(out.Results))
 	for _, r := range out.Results {
 		if r.Err == nil {
 			m[r.Key] = r.Value
@@ -267,37 +254,26 @@ func (sw *Sweep) simBenchMut(name string, port lbic.PortConfig, suffix string, m
 	if suffix != "" {
 		key += "/" + suffix
 	}
-	group := fmt.Sprintf("bench/%s/i%d", name, sw.Insts)
-	build := func() (*lbic.Program, error) { return sw.benchProg(name) }
-	return sw.simCell(key, group, build, port, mut)
+	return sw.simCell(key, key, pickIPC, func() (*lbic.Program, error) { return sw.benchProg(name) }, port, mut)
 }
 
 // simPattern is one access-pattern microbenchmark under one port
 // organization.
 func (sw *Sweep) simPattern(name string, port lbic.PortConfig) runner.Cell[float64] {
 	key := fmt.Sprintf("sim/pat:%s/%s/i%d", name, port.Key(), sw.Insts)
-	group := fmt.Sprintf("pat/%s/i%d", name, sw.Insts)
-	build := func() (*lbic.Program, error) { return sw.patternProg(name) }
-	return sw.simCell(key, group, build, port, nil)
+	return sw.simCell(key, key, pickIPC, func() (*lbic.Program, error) { return sw.patternProg(name) }, port, nil)
 }
 
-func (sw *Sweep) simCell(key, group string, build func() (*lbic.Program, error), port lbic.PortConfig, mut func(*lbic.Config)) runner.Cell[float64] {
+// simCell is a program-backed simulation cell at the sweep budget. memoKey
+// names the simulated point: the full cell key for IPC cells, so the same
+// (program, port, budget, mutation) point appearing in two tables of one
+// invocation is simulated once.
+func (sw *Sweep) simCell(key, memoKey string, pick func(*lbic.Result) float64, build func() (*lbic.Program, error), port lbic.PortConfig, mut func(*lbic.Config)) runner.Cell[float64] {
 	insts := sw.Insts
-	// The full cell key doubles as the duplicate-sim memo identity: the
-	// same (program, port, budget, mutation) point appearing in two tables
-	// of one invocation is simulated once (replay determinism makes the
-	// second Result identical, so reusing it cannot change any output).
-	sw.specs.put(key, simSpec{
-		group: group, insts: insts, port: port, mut: mut, build: build,
-		pick: pickIPC, memoKey: key,
-	})
-	return runner.Cell[float64]{Key: key, Labels: scalarLaneLabels, Run: func(ctx context.Context) (float64, error) {
-		if res, ok := sw.memo.get(key); ok {
-			return pickIPC(res), nil
-		}
+	return sw.simMemoCell(key, memoKey, pick, func(ctx context.Context) (lbic.Result, error) {
 		prog, err := build()
 		if err != nil {
-			return 0, err
+			return lbic.Result{}, err
 		}
 		cfg := lbic.DefaultConfig()
 		cfg.Port = port
@@ -306,13 +282,8 @@ func (sw *Sweep) simCell(key, group string, build func() (*lbic.Program, error),
 		if mut != nil {
 			mut(&cfg)
 		}
-		res, err := lbic.SimulateContext(ctx, prog, cfg)
-		if err != nil {
-			return 0, err
-		}
-		sw.memo.put(key, &res)
-		return res.IPC, nil
-	}}
+		return lbic.SimulateContext(ctx, prog, cfg)
+	})
 }
 
 // simBenchConflict is simBench reduced to the port conflict rate (stalled
@@ -321,41 +292,13 @@ func (sw *Sweep) simCell(key, group string, build func() (*lbic.Program, error),
 // (benchmark, port, budget) point appearing in an IPC table and a conflict
 // table is simulated once.
 func (sw *Sweep) simBenchConflict(name string, port lbic.PortConfig) runner.Cell[float64] {
-	insts := sw.Insts
-	key := fmt.Sprintf("sim/conf/%s/%s/i%d", name, port.Key(), insts)
-	memoKey := fmt.Sprintf("sim/%s/%s/i%d", name, port.Key(), insts)
-	group := fmt.Sprintf("bench/%s/i%d", name, insts)
-	build := func() (*lbic.Program, error) { return sw.benchProg(name) }
+	key := fmt.Sprintf("sim/conf/%s/%s/i%d", name, port.Key(), sw.Insts)
+	memoKey := fmt.Sprintf("sim/%s/%s/i%d", name, port.Key(), sw.Insts)
 	pick := func(r *lbic.Result) float64 { return r.PortConflictRate() }
-	sw.specs.put(key, simSpec{
-		group: group, insts: insts, port: port, build: build,
-		pick: pick, memoKey: memoKey,
-	})
-	return runner.Cell[float64]{Key: key, Labels: scalarLaneLabels, Run: func(ctx context.Context) (float64, error) {
-		if res, ok := sw.memo.get(memoKey); ok {
-			return pick(res), nil
-		}
-		prog, err := build()
-		if err != nil {
-			return 0, err
-		}
-		cfg := lbic.DefaultConfig()
-		cfg.Port = port
-		cfg.MaxInsts = insts
-		cfg.Trace = sw.traceCache()
-		res, err := lbic.SimulateContext(ctx, prog, cfg)
-		if err != nil {
-			return 0, err
-		}
-		sw.memo.put(memoKey, &res)
-		return pick(&res), nil
-	}}
+	return sw.simCell(key, memoKey, pick, func() (*lbic.Program, error) { return sw.benchProg(name) }, port, nil)
 }
 
 func pickIPC(r *lbic.Result) float64 { return r.IPC }
-
-// scalarLaneLabels tag an unbatched simulation cell's profile samples.
-var scalarLaneLabels = []string{"lanes", "1"}
 
 // charCell measures a benchmark's Table 2 characteristics against a given
 // L1 geometry.

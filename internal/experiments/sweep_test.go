@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -199,5 +202,158 @@ func TestSweepSpansRecorded(t *testing.T) {
 	// reaches SimulateContext, so it contributes no simulate span.
 	if cells != 4 || sims != 3 {
 		t.Errorf("spans = %d cells, %d sims; want 4 and 3", cells, sims)
+	}
+}
+
+// renderGrid runs testGrid on sw and returns its JSON and rendered text.
+func renderGrid(t *testing.T, sw *Sweep) string {
+	t.Helper()
+	tab, err := testGrid(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := tab.JSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// Regenerating a grid on a finished sweep must settle every cell before the
+// runner: journal hits and memo hits open no cell spans, fire OnCell once,
+// and a memo hit is journaled exactly once. A fault injected on a memo-hit
+// key must still land.
+func TestSweepMemoHitsSettleBeforeRunner(t *testing.T) {
+	dir := t.TempDir()
+	openJournal := func(name string) *runner.Journal {
+		j, err := runner.OpenJournal(filepath.Join(dir, name), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	sw := NewSweep(5_000)
+	sw.Jobs = 2
+	sw.Spans = lbic.NewRequestTrace()
+	sw.Journal = openJournal("first.jsonl")
+	calls := map[string]int{}
+	sw.OnCell = func(key string, err error) {
+		if err != nil {
+			t.Errorf("cell %s: %v", key, err)
+		}
+		calls[key]++
+	}
+	cellSpans := func() int {
+		n := 0
+		for _, sp := range sw.Spans.Snapshot() {
+			if strings.HasPrefix(sp.Name, "cell ") {
+				n++
+			}
+		}
+		return n
+	}
+	// pass regenerates the grid and checks it against the first output,
+	// that no cell span opened and that OnCell fired once per key.
+	var first string
+	pass := func(name string) {
+		t.Helper()
+		clear(calls)
+		spans := cellSpans()
+		if got := renderGrid(t, sw); got != first {
+			t.Errorf("%s: output differs:\n--- first ---\n%s\n--- %s ---\n%s", name, first, name, got)
+		}
+		if n := cellSpans() - spans; n != 0 {
+			t.Errorf("%s opened %d cell spans, want 0", name, n)
+		}
+		if len(calls) != 4 {
+			t.Errorf("%s: OnCell saw %d keys, want 4", name, len(calls))
+		}
+		for k, n := range calls {
+			if n != 1 {
+				t.Errorf("%s: OnCell fired %d times for %s, want 1", name, n, k)
+			}
+		}
+	}
+
+	first = renderGrid(t, sw)
+	if n := cellSpans(); n != 4 {
+		t.Fatalf("first pass opened %d cell spans, want 4", n)
+	}
+	pass("journal pass")
+
+	// A fresh journal leaves only the memo to answer; each memo hit is
+	// journaled once.
+	if err := sw.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sw.Journal = openJournal("second.jsonl")
+	pass("memo pass")
+	if err := sw.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"first.jsonl", "second.jsonl"} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := map[string]int{}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			if line == "" {
+				continue
+			}
+			var rec struct{ Key string }
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			keys[rec.Key]++
+		}
+		if len(keys) != 4 {
+			t.Errorf("%s holds %d keys, want 4", name, len(keys))
+		}
+		for k, n := range keys {
+			if n != 1 {
+				t.Errorf("%s holds %s %d times, want once", name, k, n)
+			}
+		}
+	}
+
+	sw.Journal = nil
+	sw.KeepGoing = true
+	sw.InjectPanic = []string{"pat:random/bank-4"}
+	clear(calls)
+	sw.OnCell = func(key string, err error) { calls[key]++ }
+	tab, err := testGrid(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := tab.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(sb.String(), errCell); got != 1 {
+		t.Errorf("injected memo-hit cell: %d ERR cells, want 1:\n%s", got, sb.String())
+	}
+	if len(calls) != 4 {
+		t.Errorf("injected pass: OnCell saw %d keys, want 4", len(calls))
+	}
+}
+
+// Without KeepGoing, a failed cell stops the sweep with the runner's error,
+// which names the failed cell.
+func TestSweepFailFastNamesCell(t *testing.T) {
+	sw := NewSweep(5_000)
+	cell := sw.simBench("no-such-benchmark", lbic.BankedPort(4))
+	_, err := sweepRun(sw, []runner.Cell[float64]{cell})
+	if err == nil {
+		t.Fatal("sweep with an unbuildable cell returned nil error")
+	}
+	if want := fmt.Sprintf("runner: cell %q", cell.Key); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
+	}
+	if fails := sw.Failures(); len(fails) != 1 || fails[0].Key != cell.Key {
+		t.Errorf("Failures() = %v, want only %s", fails, cell.Key)
 	}
 }

@@ -43,25 +43,12 @@ func (sw *Sweep) genCell(kind string, port lbic.PortConfig, ns string, pick func
 	// second table reuses the first's Result instead of re-synthesizing the
 	// stream.
 	memoKey := fmt.Sprintf("sim/%s/%s/i%d", rp.Key(), port.Key(), insts)
-	group := fmt.Sprintf("gen/%s/i%d", rp.Key(), insts)
-	sw.specs.put(key, simSpec{
-		group: group, insts: insts, port: port, gen: &params,
-		pick: pick, memoKey: memoKey,
-	})
-	return runner.Cell[float64]{Key: key, Labels: scalarLaneLabels, Run: func(ctx context.Context) (float64, error) {
-		if res, ok := sw.memo.get(memoKey); ok {
-			return pick(res), nil
-		}
+	return sw.simMemoCell(key, memoKey, pick, func(ctx context.Context) (lbic.Result, error) {
 		cfg := lbic.DefaultConfig()
 		cfg.Port = port
 		cfg.MaxInsts = insts
-		res, err := lbic.SimulateGenerator(ctx, params, cfg)
-		if err != nil {
-			return 0, err
-		}
-		sw.memo.put(memoKey, &res)
-		return pick(&res), nil
-	}}
+		return lbic.SimulateGenerator(ctx, params, cfg)
+	})
 }
 
 // WorkloadMatrix simulates every catalog workload generator against a

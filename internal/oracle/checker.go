@@ -361,7 +361,7 @@ func (c *Checker) Finish(final *vm.Memory) error {
 	return nil
 }
 
-// queueSource abstracts the two queue-backed arbiters for the FIFO monitor.
+// queueSource abstracts the queue-backed arbiters for the FIFO monitor.
 type queueSource interface {
 	banks() int
 	depth() int
@@ -398,18 +398,25 @@ type queueMonitor struct {
 	cur  [][]uint64
 }
 
+// queuesOf returns arb's store (or code-update) queues, or nil when arb has
+// none.
+func queuesOf(arb ports.Arbiter) queueSource {
+	switch a := arb.(type) {
+	case *core.LBIC:
+		return lbicQueues{a}
+	case *ports.BankedSQ:
+		return bsqQueues{a}
+	case *ports.Coded:
+		return codedQueues{a}
+	}
+	return nil
+}
+
 // newQueueMonitor returns a monitor for arb's store queues, or nil when the
 // organization has none.
 func newQueueMonitor(arb ports.Arbiter) *queueMonitor {
-	var src queueSource
-	switch a := arb.(type) {
-	case *core.LBIC:
-		src = lbicQueues{a}
-	case *ports.BankedSQ:
-		src = bsqQueues{a}
-	case *ports.Coded:
-		src = codedQueues{a}
-	default:
+	src := queuesOf(arb)
+	if src == nil {
 		return nil
 	}
 	n := src.banks()

@@ -63,32 +63,28 @@ func drainAll(t *testing.T, arb ports.Arbiter, refs []ports.Request) int {
 	return cycles
 }
 
-// queueDepthLeft returns the longest store queue of a queue-backed arbiter,
-// or 0.
+// queueDepthLeft returns the longest store (or code-update) queue of a
+// queue-backed arbiter, or 0.
 func queueDepthLeft(arb ports.Arbiter) int {
 	longest := 0
-	switch a := arb.(type) {
-	case *core.LBIC:
-		for b := 0; b < a.Config().Banks; b++ {
-			if n := a.StoreQueueLen(b); n > longest {
-				longest = n
-			}
-		}
-	case *ports.BankedSQ:
-		for b := 0; b < a.Selector().Banks(); b++ {
-			if n := a.StoreQueueLen(b); n > longest {
-				longest = n
-			}
+	if q := queuesOf(arb); q != nil {
+		for b := 0; b < q.banks(); b++ {
+			longest = max(longest, len(q.lines(b, nil)))
 		}
 	}
 	return longest
 }
 
 // flushQueues runs idle grant cycles until every store queue is empty;
-// banks drain in parallel, so depth+2 cycles must always suffice.
-func flushQueues(t *testing.T, arb ports.Arbiter, depth, startCycle int) {
+// banks drain in parallel, so the arbiter's queue depth plus 2 cycles must
+// always suffice.
+func flushQueues(t *testing.T, arb ports.Arbiter, startCycle int) {
 	t.Helper()
 	qm := newQueueMonitor(arb)
+	depth := 0
+	if q := queuesOf(arb); q != nil {
+		depth = q.depth()
+	}
 	var dst []int
 	for i := 0; queueDepthLeft(arb) > 0; i++ {
 		if i > depth+2 {
@@ -137,6 +133,15 @@ func FuzzArbiterGrant(f *testing.F) {
 			func() (ports.Arbiter, error) {
 				return core.New(core.Config{Banks: 2, LinePorts: 4, LineSize: fuzzLineSize, Policy: core.PolicyGreedy})
 			},
+			func() (ports.Arbiter, error) {
+				return ports.NewCoded(ports.CodedConfig{Banks: 4, ParityBanks: 2, LineSize: fuzzLineSize})
+			},
+			func() (ports.Arbiter, error) {
+				return ports.NewCoded(ports.CodedConfig{Banks: 4, ParityBanks: 2, LineSize: fuzzLineSize, Speculative: true})
+			},
+			func() (ports.Arbiter, error) {
+				return ports.NewCoded(ports.CodedConfig{Banks: 4, ParityBanks: 2, LineSize: fuzzLineSize, LinePorts: 2})
+			},
 		}
 		idealCyc := 0
 		for i, mk := range factories {
@@ -145,7 +150,7 @@ func FuzzArbiterGrant(f *testing.F) {
 				t.Fatal(err)
 			}
 			cyc := drainAll(t, arb, refs)
-			flushQueues(t, arb, core.DefaultStoreQueueDepth, cyc)
+			flushQueues(t, arb, cyc)
 			if lower := ceilDiv(len(refs), arb.PeakWidth()); cyc < lower {
 				t.Fatalf("%s drained %d requests in %d cycles, below its bandwidth bound %d",
 					arb.Name(), len(refs), cyc, lower)
@@ -205,7 +210,7 @@ func FuzzCombining(f *testing.F) {
 			t.Fatal(err)
 		}
 		cycLBIC := drainAll(t, lbic, refs)
-		flushQueues(t, lbic, core.DefaultStoreQueueDepth, cycLBIC)
+		flushQueues(t, lbic, cycLBIC)
 		cycBank := drainAll(t, banked, refs)
 		cycIdeal := drainAll(t, ideal, refs)
 		if cycLBIC > cycBank {
@@ -259,8 +264,8 @@ func FuzzStoreQueue(f *testing.F) {
 			t.Fatal(err)
 		}
 		cyc := drainAll(t, lbic, refs)
-		flushQueues(t, lbic, depth, cyc)
+		flushQueues(t, lbic, cyc)
 		cyc = drainAll(t, bsq, refs)
-		flushQueues(t, bsq, depth, cyc)
+		flushQueues(t, bsq, cyc)
 	})
 }

@@ -31,11 +31,6 @@ type Cell[T any] struct {
 	// cancellation is abandoned (its goroutine leaks until it returns) once
 	// the grace window after its deadline expires.
 	Run func(ctx context.Context) (T, error)
-	// Labels are extra pprof label key/value pairs attached to the cell's
-	// execution, alongside the always-present "cell" key. A batched sweep
-	// sets ("lanes", K) here so a CPU profile attributes scalar vs laned
-	// stepping per cell.
-	Labels []string
 }
 
 // Result is the outcome of one cell.
@@ -323,16 +318,12 @@ func runOnce[T any](ctx context.Context, c Cell[T], timeout time.Duration) (T, e
 				ch <- attempt{zero, &PanicError{Value: r, Stack: debug.Stack()}}
 			}
 		}()
-		// The pprof labels make per-cell cost visible in CPU profiles:
-		// every sample inside the attempt carries the cell key plus any
-		// caller labels (e.g. lane count), so `go tool pprof -tagfocus`
-		// separates one cell — or scalar vs laned stepping — from a sweep.
-		labels := make([]string, 0, 2+len(c.Labels))
-		labels = append(labels, "cell", c.Key)
-		labels = append(labels, c.Labels...)
+		// The pprof label makes per-cell cost visible in CPU profiles:
+		// every sample inside the attempt carries the cell key, so
+		// `go tool pprof -tagfocus` separates one cell from a sweep.
 		var v T
 		var err error
-		pprof.Do(cctx, pprof.Labels(labels...), func(ctx context.Context) {
+		pprof.Do(cctx, pprof.Labels("cell", c.Key), func(ctx context.Context) {
 			v, err = c.Run(ctx)
 		})
 		ch <- attempt{v, err}

@@ -60,15 +60,6 @@ type Options struct {
 	// Log receives one structured line per HTTP request (request ID, method,
 	// route, status, bytes, duration). Default: discard.
 	Log *slog.Logger
-	// Lanes, when >= 2, batches a sweep job's cells that share one
-	// (program, budget) instruction stream into lane groups of up to this
-	// width, stepped in lockstep off a shared decode cursor
-	// (lbic.SimulateBatch) — one pass over the trace per batch instead of
-	// one per cell. Served reports are byte-identical to the scalar path,
-	// and every member keeps its own result-cache entry, singleflight
-	// identity, and job-stream event. Default 0 (scalar); ignored on a
-	// coordinator, whose cells are dispatched to the cluster individually.
-	Lanes int
 	// Role names how this process serves: "standalone" (default), "worker",
 	// or "coordinator". Reported on /healthz so heartbeats and operators can
 	// tell who answered.
@@ -607,14 +598,12 @@ func (s *Server) runJob(j *job, specs []cellSpec, release func()) {
 	defer release()
 	jctx, root := j.trace.Start(tracing.NewContext(s.baseCtx, j.trace), "job "+j.id)
 	root.SetAttr("cells", len(specs))
-	var cells []runner.Cell[struct{}]
-	if s.opts.Lanes >= 2 && s.opts.Remote == nil {
-		cells = s.lanedJobCells(j, specs)
-	} else {
-		cells = make([]runner.Cell[struct{}], len(specs))
-		for i, sp := range specs {
-			cells[i] = s.scalarJobCell(j, sp)
-		}
+	cells := make([]runner.Cell[struct{}], len(specs))
+	for i, sp := range specs {
+		cells[i] = runner.Cell[struct{}]{Key: sp.key, Run: func(ctx context.Context) (struct{}, error) {
+			j.publishCell(s.executeCell(ctx, sp))
+			return struct{}{}, nil
+		}}
 	}
 	// The per-cell deadline, retry, and panic story lives inside
 	// executeCell's own runner invocation (shared with /v1/simulate); this

@@ -240,28 +240,20 @@ func (c *Cache) Stream(ctx context.Context, prog *isa.Program, insts uint64) (tr
 	if c == nil {
 		return emu.New(prog)
 	}
-	tr, err := c.Recorded(ctx, prog, insts)
-	if err != nil {
-		return nil, err
-	}
-	return tr.NewReader(), nil
-}
-
-// Recorded returns the recording of prog's first insts committed
-// instructions, recording via a fresh emulator on the first request. It is
-// Stream without the reader wrapper, for callers that attach several readers
-// to one recording (a SharedCursor stepping K lanes decodes it once).
-func (c *Cache) Recorded(ctx context.Context, prog *isa.Program, insts uint64) (*Trace, error) {
 	if insts == 0 {
 		return nil, fmt.Errorf("tracecache: zero instruction budget for %q", prog.Name)
 	}
-	return c.GetOrRecord(ctx, c.keyFor(prog, insts), func() (*Trace, error) {
+	tr, err := c.GetOrRecord(ctx, c.keyFor(prog, insts), func() (*Trace, error) {
 		m, err := emu.New(prog)
 		if err != nil {
 			return nil, err
 		}
 		return Record(m, insts), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return tr.NewReader(), nil
 }
 
 // Fingerprint hashes a program's full content (code, data image, entry,
