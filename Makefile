@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check perfbench-vet bench bench-smoke bench-diff lbicd-smoke cluster-smoke advsearch-smoke tables figures ablations workloads fuzz reproduce clean
+.PHONY: all build vet test test-short check perfbench-vet bench bench-smoke bench-diff coreab coreab-smoke lbicd-smoke cluster-smoke advsearch-smoke tables figures ablations workloads fuzz reproduce clean
 
 all: build vet test
 
@@ -17,9 +17,9 @@ test:
 	$(GO) test ./...
 
 # check is the CI gate: vet, the full suite under the race detector, one
-# plain pass so the fuzz corpus seeds run as regression tests, and a build of
-# the benchmark module.
-check: perfbench-vet
+# plain pass so the fuzz corpus seeds run as regression tests, a build of
+# the benchmark module, and one short coreab run.
+check: perfbench-vet coreab-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/asm/ ./internal/oracle/ ./internal/tracecache/
@@ -36,12 +36,12 @@ test-short:
 # bench runs the full benchmark suite (table regenerations, simulator
 # throughput live vs trace replay, the zero-alloc core microbenchmark, the
 # coded-banks arbiter step cost, and the lbicd served-vs-direct latency
-# comparison) and records the results as JSON in BENCH_OUT (default
-# BENCH_PR10.json, the latest checked-in snapshot); set BENCH_OUT to record a
-# new snapshot after performance work.
-BENCH_OUT ?= BENCH_PR10.json
+# comparison) five times and records each benchmark's median as JSON in
+# BENCH_OUT (default BENCH_PR13.json, the latest checked-in snapshot); set
+# BENCH_OUT to record a new snapshot after performance work.
+BENCH_OUT ?= BENCH_PR13.json
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/cpu/ ./internal/server/ \
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 . ./internal/cpu/ ./internal/server/ \
 		| $(GO) run ./scripts/benchjson -o $(BENCH_OUT)
 
 # bench-smoke is the CI gate: one iteration of every benchmark, parsed by
@@ -55,11 +55,21 @@ bench-smoke:
 # bench-diff is the perf regression gate: ns/op drift between the two most
 # recent checked-in benchmark snapshots past the threshold fails unless
 # BENCH_ALLOWLIST.json acknowledges it with a reason.
-BENCH_OLD ?= BENCH_PR9.json
-BENCH_NEW ?= BENCH_PR10.json
+BENCH_OLD ?= BENCH_PR10.json
+BENCH_NEW ?= BENCH_PR13.json
 bench-diff:
 	$(GO) run ./scripts/benchjson -diff $(BENCH_OLD) -against $(BENCH_NEW) \
 		-threshold 10 -allowlist BENCH_ALLOWLIST.json
+
+# coreab times the working tree's timing core against the one at REV in one
+# process (see scripts/coreab). coreab-smoke runs one repetition against
+# HEAD, so the tool cannot rot unseen.
+REV ?= HEAD
+coreab:
+	$(GO) run ./scripts/coreab -rev $(REV)
+
+coreab-smoke:
+	$(GO) run ./scripts/coreab -rev HEAD -reps 1
 
 # lbicd-smoke starts a real lbicd, checks a served report is byte-identical
 # to the direct in-process run, that a repeat request is a cache hit, that a

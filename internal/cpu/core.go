@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"lbic/internal/cache"
 	"lbic/internal/isa"
@@ -152,7 +151,7 @@ type Core struct {
 
 	lastWriter [isa.NumRegs]int32 // RUU index producing each register, -1 if none
 
-	readyQ readyHeap
+	ready []readyNode // ready instructions, ascending seq (see pushReady)
 
 	wheel [wheelSize][]event
 
@@ -163,7 +162,7 @@ type Core struct {
 	orderParked []int32    // loads blocked on unknown older store addresses
 	orderedMin  uint64     // barrier seq at the last orderParked scan (see releaseOrderParked)
 	fwd         fwdTable   // store-forwarding index by address granule
-	memPending  []int32    // loads ready for a port, ascending seq
+	pending     pendingLoads
 
 	// Committed store buffer (FIFO ring over slots).
 	storeBuf    []storeBufEntry
@@ -177,13 +176,16 @@ type Core struct {
 	fuBusy [isa.NumClasses][]uint64 // release times for unpipelined units
 
 	reqBuf   []ports.Request
-	reqIdx   []int32 // parallel: RUU index (loads) or -(slot+1) (stores)
+	reqSlot  []int32 // store buffer slot of each store at the front of reqBuf
 	grantBuf []int
 
-	// Pooled scratch for per-cycle stages, so steady-state stepping never
+	// Pooled scratch for releaseOrderParked, so steady-state stepping never
 	// allocates.
-	releaseScratch  []int32
-	sidelineScratch []int32
+	releaseScratch []int32
+
+	// broken latches the first internal invariant violation the core finds
+	// itself; Step returns it when a Verifier is attached.
+	broken error
 
 	// arbQuiescent is non-nil when the arbiter implements ports.Quiescer;
 	// fast-forward needs it to prove the arbiter holds no queued work.
@@ -257,7 +259,6 @@ func New(stream trace.Stream, hier *cache.Hierarchy, arb ports.Arbiter, cfg Conf
 	if q, ok := arb.(ports.Quiescer); ok {
 		c.arbQuiescent = q.Quiescent
 	}
-	c.readyQ.core = c
 	return c, nil
 }
 
@@ -364,6 +365,9 @@ func (c *Core) Step() error {
 		if err := c.verify.Err(); err != nil {
 			return fmt.Errorf("cpu: verify failed at cycle %d: %w", c.now, err)
 		}
+		if c.broken != nil {
+			return fmt.Errorf("cpu: verify failed at cycle %d: %w", c.now, c.broken)
+		}
 		var sum uint64
 		for _, n := range c.stats.StallCycles {
 			sum += n
@@ -394,11 +398,10 @@ func (c *Core) processEvents() {
 	slot := c.now % wheelSize
 	evs := c.wheel[slot]
 	c.wheel[slot] = evs[:0]
-	// The slice is reused immediately; iterate over a stable copy by index,
-	// but new events always target future slots, so in-place iteration is
-	// safe as long as we re-read length (appends to this slot are imposs.).
-	for i := 0; i < len(evs); i++ {
-		ev := evs[i]
+	// The slot's backing array is handed back before its events run. That is
+	// safe because schedule only ever targets future slots (at least now+1,
+	// less than a wheel turn ahead), so nothing appends here during the walk.
+	for _, ev := range evs {
 		switch ev.kind {
 		case evExec:
 			c.complete(ev.idx)
@@ -442,9 +445,27 @@ func (c *Core) wake(idx int32, operand int) {
 	}
 }
 
+// readyNode is one ready instruction; it carries the entry's sequence number
+// so the ordering compares stay inside the ready list.
+type readyNode struct {
+	seq uint64
+	idx int32
+}
+
+// pushReady marks an instruction ready and inserts it into the seq-sorted
+// ready list. Only a handful are ready at a time and a newly ready
+// instruction is usually the youngest, so the insertion runs from the tail.
 func (c *Core) pushReady(idx int32) {
-	c.entries[idx].state = stReady
-	c.readyQ.push(idx)
+	e := &c.entries[idx]
+	e.state = stReady
+	n := readyNode{seq: e.dyn.Seq, idx: idx}
+	q := append(c.ready, n)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].seq > n.seq; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = n
+	c.ready = q
 }
 
 // --- stores: address generation, completion, forwarding bookkeeping ---
@@ -583,7 +604,7 @@ func (c *Core) routeLoad(idx int32) {
 		return
 	}
 	e.state = stMemPending
-	c.insertMemPending(idx)
+	c.pending.insert(ports.Request{Seq: e.dyn.Seq, Addr: e.dyn.Addr}, idx)
 }
 
 // fwdDisposition is the result of a forwarding lookup.
@@ -642,24 +663,54 @@ func (c *Core) tryForward(idx int32) (fwdRef, fwdDisposition) {
 	return best, fwdBlocked
 }
 
-func (c *Core) insertMemPending(idx int32) {
-	seq := c.entries[idx].dyn.Seq
-	i := sort.Search(len(c.memPending), func(i int) bool {
-		return c.entries[c.memPending[i]].dyn.Seq > seq
-	})
-	c.memPending = append(c.memPending, 0)
-	copy(c.memPending[i+1:], c.memPending[i:])
-	c.memPending[i] = idx
+// pendingLoads holds the loads waiting for a cache port, ascending seq: req
+// and ruu (the RUU index) are parallel and live from head. Grants take the
+// oldest loads, so a removal shifts only the short prefix ahead of it and
+// advances head; a newly pending load is usually young, so an insertion
+// shifts only a short suffix. The oldest requests are contiguous and reach
+// the arbiter with one copy.
+type pendingLoads struct {
+	req  []ports.Request
+	ruu  []int32
+	head int
 }
 
-func (c *Core) removeMemPending(idx int32) {
-	seq := c.entries[idx].dyn.Seq
-	i := sort.Search(len(c.memPending), func(i int) bool {
-		return c.entries[c.memPending[i]].dyn.Seq >= seq
-	})
-	if i < len(c.memPending) && c.memPending[i] == idx {
-		c.memPending = append(c.memPending[:i], c.memPending[i+1:]...)
+// Len returns the number of pending loads.
+func (p *pendingLoads) Len() int { return len(p.req) - p.head }
+
+// insert adds a load in seq order. When the arrays are full and at least a
+// quarter of them is consumed prefix, the live part slides to the front
+// instead of the arrays growing.
+func (p *pendingLoads) insert(r ports.Request, idx int32) {
+	if len(p.req) == cap(p.req) && p.head > 0 && 4*p.head >= len(p.req) {
+		n := copy(p.req, p.req[p.head:])
+		copy(p.ruu, p.ruu[p.head:])
+		p.req, p.ruu, p.head = p.req[:n], p.ruu[:n], 0
 	}
+	p.req = append(p.req, r)
+	p.ruu = append(p.ruu, idx)
+	i := len(p.req) - 1
+	for ; i > p.head && p.req[i-1].Seq > r.Seq; i-- {
+		p.req[i], p.ruu[i] = p.req[i-1], p.ruu[i-1]
+	}
+	p.req[i], p.ruu[i] = r, idx
+}
+
+// find returns the position of the load with sequence number seq, or -1.
+func (p *pendingLoads) find(seq uint64) int {
+	for i := p.head; i < len(p.req) && p.req[i].Seq <= seq; i++ {
+		if p.req[i].Seq == seq {
+			return i
+		}
+	}
+	return -1
+}
+
+// remove deletes the load at position i.
+func (p *pendingLoads) remove(i int) {
+	copy(p.req[p.head+1:i+1], p.req[p.head:i])
+	copy(p.ruu[p.head+1:i+1], p.ruu[p.head:i])
+	p.head++
 }
 
 // releaseOrderParked re-routes loads whose ordering barrier has cleared.
@@ -743,7 +794,7 @@ func (c *Core) commit() {
 
 func (c *Core) memoryIssue() {
 	c.reqBuf = c.reqBuf[:0]
-	c.reqIdx = c.reqIdx[:0]
+	c.reqSlot = c.reqSlot[:0]
 	// Committed stores first: they are the oldest memory operations. The
 	// scan visits FIFO order but only ungranted live slots contribute, so it
 	// stops once all of them are collected (and never starts when none are).
@@ -759,20 +810,15 @@ func (c *Core) memoryIssue() {
 				continue
 			}
 			c.reqBuf = append(c.reqBuf, ports.Request{Seq: sb.seq, Addr: sb.addr, Store: true})
-			c.reqIdx = append(c.reqIdx, -int32(cur)-1)
+			c.reqSlot = append(c.reqSlot, int32(cur))
 			if left--; left == 0 {
 				break
 			}
 		}
 	}
-	for _, idx := range c.memPending {
-		if len(c.reqBuf) >= c.cfg.MemScanDepth {
-			break
-		}
-		e := &c.entries[idx]
-		c.reqBuf = append(c.reqBuf, ports.Request{Seq: e.dyn.Seq, Addr: e.dyn.Addr, Store: false})
-		c.reqIdx = append(c.reqIdx, idx)
-	}
+	p := &c.pending
+	n := min(p.Len(), c.cfg.MemScanDepth-len(c.reqBuf))
+	c.reqBuf = append(c.reqBuf, p.req[p.head:p.head+n]...)
 	if len(c.reqBuf) == 0 {
 		// Still give stateful arbiters (LBIC store-queue drain) their cycle.
 		c.grantBuf = c.arb.Grant(c.now, nil, c.grantBuf[:0])
@@ -789,14 +835,19 @@ func (c *Core) memoryIssue() {
 	c.grantHist.Observe(len(c.grantBuf))
 	for _, g := range c.grantBuf {
 		r := c.reqBuf[g]
-		id := c.reqIdx[g]
-		c.stats.PortGrants++
 		var token int64
+		pos := -1
 		if r.Store {
-			token = int64(c.cfg.RUUSize) + int64(-id-1)
+			token = int64(c.cfg.RUUSize) + int64(c.reqSlot[g])
+		} else if pos = p.find(r.Seq); pos >= 0 {
+			token = int64(p.ruu[pos])
 		} else {
-			token = int64(id)
+			if c.broken == nil {
+				c.broken = fmt.Errorf("granted load seq %d is not pending a port", r.Seq)
+			}
+			continue
 		}
+		c.stats.PortGrants++
 		out := c.hier.Access(c.now, r.Addr, r.Store, token)
 		if c.verify != nil {
 			c.verify.ObserveAccess(c.now, r.Seq, r.Store, out == cache.Blocked)
@@ -814,15 +865,14 @@ func (c *Core) memoryIssue() {
 			c.stats.PortBlocked++
 		default:
 			if r.Store {
-				slot := int(-id - 1)
-				sb := &c.storeBuf[slot]
+				sb := &c.storeBuf[c.reqSlot[g]]
 				sb.granted = true
 				c.sbUngranted--
 				c.dropForward(sb.seq, sb.addr, sb.size)
 				c.wakeChain(&sb.waiterHead)
 			} else {
-				c.removeMemPending(id)
-				c.entries[id].state = stMemWait
+				p.remove(pos)
+				c.entries[token].state = stMemWait
 			}
 		}
 	}
@@ -888,16 +938,19 @@ func (c *Core) issue() {
 	for cl := range c.fuUsed {
 		c.fuUsed[cl] = 0
 	}
+	// One oldest-first walk: issued instructions leave the list, and those
+	// sidelined for want of a unit (and all after the budget runs out) keep
+	// their place.
 	budget := c.cfg.IssueWidth
-	attempts := c.readyQ.Len()
-	sidelined := c.sidelineScratch[:0]
-	for budget > 0 && attempts > 0 && c.readyQ.Len() > 0 {
-		attempts--
-		idx := c.readyQ.pop()
+	q := c.ready
+	kept, i := 0, 0
+	for ; i < len(q) && budget > 0; i++ {
+		idx := q[i].idx
 		e := &c.entries[idx]
 		cl := e.dyn.Class
 		if !c.fuAvailable(cl) {
-			sidelined = append(sidelined, idx)
+			q[kept] = q[i]
+			kept++
 			continue
 		}
 		c.fuOccupy(cl)
@@ -911,11 +964,7 @@ func (c *Core) issue() {
 			c.schedule(c.now+uint64(isa.LatencyOf(cl).Total), event{kind: evExec, idx: idx})
 		}
 	}
-	for _, idx := range sidelined {
-		c.entries[idx].state = stReady
-		c.readyQ.push(idx)
-	}
-	c.sidelineScratch = sidelined
+	c.ready = q[:kept+copy(q[kept:], q[i:])]
 }
 
 // --- dispatch ---
@@ -964,9 +1013,14 @@ func (c *Core) dispatch() {
 		c.count++
 		c.stats.Dispatched++
 
+		// Assigned field by field: building a whole entry value would copy
+		// it twice. Every path below sets state and both ready flags.
 		e := &c.entries[idx]
-		*e = entry{dyn: *dyn, deps: e.deps[:0], waiterHead: -1, waiterNext: -1}
+		e.dyn = *dyn
 		e.dyn.Seq = c.nextSeq
+		e.addrDone = false
+		e.deps = e.deps[:0]
+		e.waiterHead, e.waiterNext = -1, -1
 		c.nextSeq++
 		if c.verify != nil && e.dyn.IsMem() {
 			c.verify.ObserveDispatch(&e.dyn)
@@ -1017,63 +1071,4 @@ func (c *Core) wireSource(r isa.Reg, idx int32, operand int) bool {
 	}
 	prod.deps = append(prod.deps, idx<<2|int32(operand))
 	return false
-}
-
-// --- ready queue (hand-rolled min-heap by sequence number) ---
-//
-// container/heap would box every int32 through an interface on each
-// push/pop; issue is the hottest stage, so the sift loops are inlined here.
-// Each node carries its entry's (immutable while queued) sequence number so
-// comparisons stay inside the heap's own backing array instead of chasing
-// RUU entries through a cold cache line per probe.
-
-type readyNode struct {
-	seq uint64
-	idx int32
-}
-
-type readyHeap struct {
-	core  *Core
-	nodes []readyNode
-}
-
-// Len returns the number of ready instructions.
-func (h *readyHeap) Len() int { return len(h.nodes) }
-
-func (h *readyHeap) push(v int32) {
-	n := readyNode{seq: h.core.entries[v].dyn.Seq, idx: v}
-	h.nodes = append(h.nodes, n)
-	i := len(h.nodes) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if n.seq >= h.nodes[parent].seq {
-			break
-		}
-		h.nodes[i], h.nodes[parent] = h.nodes[parent], h.nodes[i]
-		i = parent
-	}
-}
-
-func (h *readyHeap) pop() int32 {
-	top := h.nodes[0].idx
-	last := len(h.nodes) - 1
-	h.nodes[0] = h.nodes[last]
-	h.nodes = h.nodes[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.nodes[l].seq < h.nodes[smallest].seq {
-			smallest = l
-		}
-		if r < last && h.nodes[r].seq < h.nodes[smallest].seq {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.nodes[i], h.nodes[smallest] = h.nodes[smallest], h.nodes[i]
-		i = smallest
-	}
-	return top
 }

@@ -28,7 +28,7 @@ func (c *Core) idleCycles() uint64 {
 	if c.verify != nil || c.arbQuiescent == nil || !c.arbQuiescent() {
 		return 0
 	}
-	if c.readyQ.Len() > 0 || len(c.memPending) > 0 || c.sbUngranted > 0 {
+	if len(c.ready) > 0 || c.pending.Len() > 0 || c.sbUngranted > 0 {
 		return 0
 	}
 	// Commit must be blocked for the whole span: either the window is empty,

@@ -10,10 +10,10 @@ func (c *Core) InFlight() int { return c.count }
 func (c *Core) LSQLen() int { return c.lsqCount }
 
 // ReadyLen returns the number of instructions waiting in the ready queue.
-func (c *Core) ReadyLen() int { return c.readyQ.Len() }
+func (c *Core) ReadyLen() int { return len(c.ready) }
 
 // MemPendingLen returns the number of loads waiting for a cache port.
-func (c *Core) MemPendingLen() int { return len(c.memPending) }
+func (c *Core) MemPendingLen() int { return c.pending.Len() }
 
 // StoreBufferLen returns the committed stores not yet written to the cache.
 func (c *Core) StoreBufferLen() int { return c.storeLive }

@@ -79,7 +79,7 @@ func (c *Core) hangError() error {
 		RUUOccupancy:      c.count,
 		LSQOccupancy:      c.lsqCount,
 		StoreBufOccupancy: c.storeLive,
-		MemPending:        len(c.memPending),
+		MemPending:        c.pending.Len(),
 		OrderParked:       len(c.orderParked),
 		OldestState:       c.HeadState(),
 	}

@@ -4,7 +4,9 @@
 //
 // Input lines are passed through to stdout unchanged, so the tool can sit at
 // the end of a pipeline without hiding benchmark progress. Lines that are
-// not benchmark results (logs, pass/fail summaries) are ignored.
+// not benchmark results (logs, pass/fail summaries) are ignored. A benchmark
+// reported more than once (go test -count N) is recorded as its median-ns/op
+// sample, with the number of samples in "runs".
 //
 // With -diff it becomes the perf regression gate instead of a converter:
 //
@@ -19,11 +21,14 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -38,7 +43,10 @@ type Result struct {
 	MBPerS     float64 `json:"mb_per_s,omitempty"`
 	BPerOp     int64   `json:"b_per_op"`
 	AllocsQuot int64   `json:"allocs_per_op"`
-	hasMem     bool
+	// Runs is the number of samples the result is the median of, when more
+	// than one.
+	Runs   int `json:"runs,omitempty"`
+	hasMem bool
 }
 
 // Doc is the checked-in JSON shape.
@@ -68,6 +76,7 @@ func main() {
 	}
 
 	var doc Doc
+	samples := map[string][]Result{}
 	pkg := ""
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -86,7 +95,11 @@ func main() {
 		case strings.HasPrefix(line, "Benchmark"):
 			if r, ok := parseBench(line); ok {
 				r.Pkg = pkg
-				doc.Benchmarks = append(doc.Benchmarks, r)
+				key := r.Pkg + " " + r.Name
+				if samples[key] == nil {
+					doc.Benchmarks = append(doc.Benchmarks, r)
+				}
+				samples[key] = append(samples[key], r)
 			}
 		}
 	}
@@ -95,6 +108,9 @@ func main() {
 	}
 	if len(doc.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found on stdin"))
+	}
+	for i, r := range doc.Benchmarks {
+		doc.Benchmarks[i] = median(samples[r.Pkg+" "+r.Name])
 	}
 
 	data, err := json.MarshalIndent(&doc, "", "  ")
@@ -110,6 +126,18 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(doc.Benchmarks), *out)
+}
+
+// median returns the sample with the median ns/op (the lower middle one for
+// an even count), carrying the number of samples when there is more than one.
+func median(rs []Result) Result {
+	s := slices.Clone(rs)
+	slices.SortStableFunc(s, func(a, b Result) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+	m := s[(len(s)-1)/2]
+	if len(s) > 1 {
+		m.Runs = len(s)
+	}
+	return m
 }
 
 // parseBench parses a standard benchmark result line:
@@ -169,6 +197,10 @@ type Allowlist struct {
 type AllowEntry struct {
 	Pkg  string `json:"pkg"`
 	Name string `json:"name"`
+	// Against, when set, limits the entry to diffs whose candidate snapshot
+	// (-against) has this file name, so an acknowledgment of one snapshot's
+	// drift does not carry over to later comparisons.
+	Against string `json:"against,omitempty"`
 	// MaxRegressionPct replaces the global threshold for matching benchmarks:
 	// a slowdown up to this percentage is allowed (annotated, not fatal).
 	MaxRegressionPct float64 `json:"max_regression_pct"`
@@ -187,9 +219,12 @@ func matchPattern(pattern, s string) bool {
 	return err == nil && ok
 }
 
-func (a *Allowlist) match(pkg, name string) *AllowEntry {
+func (a *Allowlist) match(against, pkg, name string) *AllowEntry {
 	for i := range a.Entries {
 		e := &a.Entries[i]
+		if e.Against != "" && e.Against != against {
+			continue
+		}
 		if matchPattern(e.Pkg, pkg) && matchPattern(e.Name, name) {
 			return e
 		}
@@ -272,7 +307,7 @@ func diff(oldPath, newPath string, threshold float64, allowPath string) error {
 		case pct <= threshold:
 			fmt.Printf("  ok       %-60s %+7.1f%%\n", key, pct)
 		default:
-			if e := allow.match(nb.Pkg, nb.Name); e != nil && pct <= e.MaxRegressionPct {
+			if e := allow.match(filepath.Base(newPath), nb.Pkg, nb.Name); e != nil && pct <= e.MaxRegressionPct {
 				fmt.Printf("  allowed  %-60s %+7.1f%%  (%s)\n", key, pct, e.Reason)
 				annotate("warning", fmt.Sprintf("%s: %+.1f%% ns/op, allowed: %s", key, pct, e.Reason))
 				continue
