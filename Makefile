@@ -22,7 +22,7 @@ test:
 check: perfbench-vet coreab-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test ./internal/asm/ ./internal/oracle/ ./internal/tracecache/
+	$(GO) test ./internal/asm/ ./internal/oracle/ ./internal/tracecache/ ./internal/server/
 
 # perfbench-vet vets and builds the benchmark module (perfbench/, a module of
 # its own that `go build ./...` at the root never compiles), so an API change
@@ -86,8 +86,10 @@ lbicd-smoke:
 # cluster-smoke is the CI gate for the distributed plane: a coordinator plus
 # three worker processes run a sweep, one worker is SIGKILLed mid-job, and
 # every cell must still complete byte-identical to the single-process run.
-# It then points a coordinator at dead ports and requires the same request to
-# complete by graceful degradation to in-process execution.
+# A coordinator restarted on the same -store-dir with no reachable workers
+# must then replay the sweep from the store alone. Last, a coordinator at
+# dead ports must complete a request by graceful degradation to in-process
+# execution.
 cluster-smoke:
 	$(GO) build -o /tmp/lbicd ./cmd/lbicd
 	$(GO) run ./scripts/clusterchaos -smoke -lbicd /tmp/lbicd
@@ -121,6 +123,7 @@ fuzz:
 	$(GO) test ./internal/oracle/ -fuzz FuzzCombining -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle/ -fuzz FuzzStoreQueue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracecache/ -fuzz FuzzTraceStreamDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server/ -fuzz FuzzSimRequest -fuzztime $(FUZZTIME)
 
 reproduce:
 	./scripts/reproduce.sh

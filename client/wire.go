@@ -130,7 +130,7 @@ type CellResult struct {
 	// Benchmark and Port echo the cell's coordinates.
 	Benchmark string `json:"benchmark"`
 	Port      string `json:"port"`
-	// Cached reports that the cell was served from the result cache.
+	// Cached reports that the cell was served from the cell store.
 	Cached bool `json:"cached,omitempty"`
 	// ElapsedNS is the wall-clock time the server spent producing this cell,
 	// including cache lookups and singleflight waits.
@@ -200,12 +200,13 @@ type Health struct {
 // membership as the heartbeat loop sees it, the content-addressed result
 // store's counters, and the dispatcher's robustness tallies.
 type ClusterStatus struct {
-	// Fingerprint is the code identity the result store is keyed under.
+	// Fingerprint is the model identity every stored cell is addressed
+	// under (cellstore.ModelFingerprint).
 	Fingerprint string `json:"fingerprint"`
 	// Workers lists every configured worker, evicted or not.
 	Workers []ClusterWorker `json:"workers"`
-	// StoreHits/StoreMisses/StorePuts count content-addressed store traffic
-	// (all zero when the coordinator runs without a store directory).
+	// StoreHits/StoreMisses/StorePuts count the cell store's directory-tier
+	// traffic (all zero when the coordinator runs without -store-dir).
 	StoreHits   uint64 `json:"store_hits"`
 	StoreMisses uint64 `json:"store_misses"`
 	StorePuts   uint64 `json:"store_puts"`

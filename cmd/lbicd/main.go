@@ -1,7 +1,9 @@
 // Command lbicd serves simulations over HTTP: single runs (/v1/simulate),
 // whole sweeps as streamable jobs (/v1/sweep, /v1/jobs/{id}), health and
-// metrics endpoints — with one process-wide trace cache and result cache so
-// repeated requests replay instead of re-simulating.
+// metrics endpoints — with one process-wide trace cache and cell store so
+// repeated requests replay instead of re-simulating. -store-dir backs the
+// cell store with a directory, in any role, so a restarted process (or
+// several sharing the directory) serves the cells already computed.
 //
 //	lbicd -addr :8329
 //	curl -s localhost:8329/healthz
@@ -24,9 +26,8 @@
 // member via its /healthz capacity fields. -coordinator -workers a,b,c
 // consistent-hashes each cell onto the healthy workers, with retry onto a
 // different worker, hedged duplicates for stragglers (-hedge-after),
-// heartbeat-driven eviction/readmission, an optional content-addressed
-// result store (-store-dir), and graceful degradation to in-process
-// execution when no worker can serve a cell:
+// heartbeat-driven eviction/readmission, and graceful degradation to
+// in-process execution when no worker can serve a cell:
 //
 //	lbicd -worker -addr :8331
 //	lbicd -coordinator -workers localhost:8331,localhost:8332,localhost:8333 \
@@ -73,7 +74,7 @@ func main() {
 		worker      = flag.Bool("worker", false, "serve as a cluster worker (advertises capacity on /healthz)")
 		coordinator = flag.Bool("coordinator", false, "serve as a cluster coordinator dispatching cells to -workers")
 		workers     = flag.String("workers", "", "comma-separated worker base URLs or host:port pairs (coordinator)")
-		storeDir    = flag.String("store-dir", "", "content-addressed result store directory (coordinator; empty = none)")
+		storeDir    = flag.String("store-dir", "", "cell store directory, kept across restarts (any role; empty = memory only)")
 		heartbeat   = flag.Duration("heartbeat", time.Second, "worker heartbeat interval (coordinator)")
 		evictAfter  = flag.Int("evict-after", 3, "consecutive missed heartbeats before a worker is evicted")
 		hedgeAfter  = flag.Duration("hedge-after", 0, "duplicate a dispatch onto another worker after this wait (0 = off)")
@@ -146,20 +147,18 @@ func main() {
 			Log:        log,
 		})
 		pool.Start(clusterCtx)
-		var store *cluster.Store
-		if *storeDir != "" {
-			var err error
-			if store, err = cluster.OpenStore(*storeDir, cluster.Fingerprint()); err != nil {
-				log.Error("opening result store", "dir", *storeDir, "err", err)
-				os.Exit(1)
-			}
-		}
-		remote = cluster.NewDispatcher(pool, store, cluster.Options{
+		remote = cluster.NewDispatcher(pool, cluster.Options{
 			Attempts:   *rAttempts,
 			HedgeAfter: *hedgeAfter,
 			Log:        log,
 		})
-		log.Info("coordinating", "workers", addrs, "store", *storeDir)
+		log.Info("coordinating", "workers", addrs)
+	}
+	if *storeDir != "" {
+		if err := os.MkdirAll(*storeDir, 0o755); err != nil {
+			log.Error("opening cell store", "dir", *storeDir, "err", err)
+			os.Exit(1)
+		}
 	}
 
 	srv := server.New(server.Options{
@@ -169,6 +168,7 @@ func main() {
 		Retries:          *retries,
 		TraceCacheBytes:  mb(*traceCacheMB),
 		ResultCacheBytes: mb(*resultMB),
+		StoreDir:         *storeDir,
 		Log:              log,
 		Role:             role,
 		Remote:           remote,

@@ -12,10 +12,11 @@
 // Sweeps run cells in parallel (-jobs) with per-cell fault isolation: a
 // panicking or hung simulation costs one table cell (rendered ERR, detailed
 // in a stderr appendix), not the run. -timeout bounds each cell, -keep-going
-// renders every table even when cells fail, and -journal FILE -resume
-// checkpoints completed cells so an interrupted sweep reruns only what is
-// missing. The first ^C stops launching new cells and renders what finished;
-// a second ^C aborts.
+// renders every table even when cells fail, and -store-dir DIR keeps
+// completed cells so a rerun (after an interrupt, a failure, or for another
+// table) computes only what is missing. Stored cells are tied to the exact
+// model sources, so reading them is always safe. The first ^C stops
+// launching new cells and renders what finished; a second ^C aborts.
 package main
 
 import (
@@ -30,8 +31,8 @@ import (
 	"syscall"
 
 	"lbic"
+	"lbic/internal/cellstore"
 	"lbic/internal/experiments"
-	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
@@ -50,8 +51,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "per-cell time limit (0 = none)")
 		retries    = flag.Int("retries", 1, "re-attempts for failed (non-timeout) cells")
 		keepGoing  = flag.Bool("keep-going", false, "render tables with ERR cells instead of stopping at the first failure")
-		journalP   = flag.String("journal", "", "checkpoint completed cells to this file")
-		resume     = flag.Bool("resume", false, "serve cells already in -journal from the checkpoint")
+		storeDir   = flag.String("store-dir", "", "keep completed cells in this directory and serve them on later runs")
 		injPanic   = flag.String("inject-panic", "", "comma-separated key substrings whose cells panic (fault-injection testing)")
 		injHang    = flag.String("inject-hang", "", "comma-separated key substrings whose cells hang (fault-injection testing)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -64,10 +64,6 @@ func main() {
 
 	if !*all && !*ablations && !*workloads && *table == 0 && *figure == 0 {
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *resume && *journalP == "" {
-		fmt.Fprintln(os.Stderr, "lbictables: -resume requires -journal FILE")
 		os.Exit(2)
 	}
 	if *cpuProfile != "" {
@@ -128,20 +124,11 @@ func main() {
 		}
 	}
 
-	if *journalP != "" {
-		j, err := runner.OpenJournal(*journalP, *resume)
-		if err != nil {
+	if *storeDir != "" {
+		if err := os.MkdirAll(*storeDir, 0o755); err != nil {
 			fatal(err)
 		}
-		defer func() {
-			if err := j.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "lbictables:", err)
-			}
-		}()
-		if *resume && !*quiet {
-			fmt.Fprintf(os.Stderr, "resuming: %d cells checkpointed in %s\n", j.Resumed(), *journalP)
-		}
-		sw.Journal = j
+		sw.Store = cellstore.New(-1, *storeDir)
 	}
 
 	// Two-stage interrupt: the first ^C requests graceful shutdown (in-flight
@@ -258,17 +245,21 @@ func main() {
 			"trace cache: %d recordings, %d replays, %.1f MiB peak (%d evicted)\n",
 			ts.Records, ts.Hits, float64(ts.BytesPeak)/(1<<20), ts.Evictions)
 	}
+	if sw.Store != nil && !*quiet {
+		st := sw.Store.Stats()
+		fmt.Fprintf(os.Stderr, "cell store: %d served, %d stored\n", st.DiskHits, st.Puts)
+	}
 
 	// Failure appendix: every ERR cell, on stderr so -json/-markdown stdout
 	// stays machine-readable. Failed-but-rendered sweeps exit zero — the
-	// tables are the product, and a -resume rerun repairs the holes.
+	// tables are the product, and a -store-dir rerun repairs the holes.
 	if fails := sw.Failures(); len(fails) > 0 {
 		fmt.Fprintf(os.Stderr, "\n%d cell(s) failed or were skipped:\n", len(fails))
 		for _, f := range fails {
 			fmt.Fprintf(os.Stderr, "  %s: %v\n", f.Key, f.Err)
 		}
-		if *journalP != "" {
-			fmt.Fprintf(os.Stderr, "rerun with -journal %s -resume to retry only these cells\n", *journalP)
+		if *storeDir != "" {
+			fmt.Fprintf(os.Stderr, "rerun with -store-dir %s to retry only these cells\n", *storeDir)
 		}
 	}
 }

@@ -20,14 +20,27 @@ type Geometry struct {
 	Assoc int
 }
 
-// Validate checks that the geometry is internally consistent.
+// Upper bounds on a geometry. Validate checks them before any arithmetic,
+// so a hostile configuration can neither overflow LineSize*Assoc nor size
+// an enormous array.
+const (
+	MaxLineSize = 1 << 12
+	MaxAssoc    = 1 << 10
+	MaxLines    = 1 << 18 // Size / LineSize
+)
+
+// Validate checks that the geometry is internally consistent and within
+// the bounds above.
 func (g Geometry) Validate() error {
 	switch {
-	case g.LineSize <= 0 || g.LineSize&(g.LineSize-1) != 0:
-		return fmt.Errorf("cache: line size %d is not a positive power of two", g.LineSize)
-	case g.Assoc <= 0:
-		return fmt.Errorf("cache: associativity %d is not positive", g.Assoc)
-	case g.Size <= 0 || g.Size%(g.LineSize*g.Assoc) != 0:
+	case g.LineSize <= 0 || g.LineSize > MaxLineSize || g.LineSize&(g.LineSize-1) != 0:
+		return fmt.Errorf("cache: line size %d is not a positive power of two at most %d", g.LineSize, MaxLineSize)
+	case g.Assoc <= 0 || g.Assoc > MaxAssoc:
+		return fmt.Errorf("cache: associativity %d is not in [1,%d]", g.Assoc, MaxAssoc)
+	case g.Size <= 0 || g.Size/g.LineSize > MaxLines:
+		return fmt.Errorf("cache: size %d is not positive and at most %d lines of %d bytes",
+			g.Size, MaxLines, g.LineSize)
+	case g.Size%(g.LineSize*g.Assoc) != 0:
 		return fmt.Errorf("cache: size %d is not a multiple of line size %d x assoc %d",
 			g.Size, g.LineSize, g.Assoc)
 	}

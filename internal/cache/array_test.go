@@ -35,6 +35,11 @@ func TestGeometryValidate(t *testing.T) {
 		{Size: 32 << 10, LineSize: 32, Assoc: 0},
 		{Size: 100, LineSize: 32, Assoc: 1},
 		{Size: 96 * 32, LineSize: 32, Assoc: 1}, // 96 sets: not a power of two
+		// LineSize*Assoc overflows int: rejected, not a divide by zero.
+		{Size: 1 << 20, LineSize: 1 << 62, Assoc: 4},
+		{Size: 1 << 20, LineSize: 32, Assoc: 1 << 61},
+		{Size: MaxLines * 2 * 32, LineSize: 32, Assoc: 1},
+		{Size: 64 << 10, LineSize: MaxLineSize * 2, Assoc: 1},
 	}
 	for _, g := range bad {
 		if err := g.Validate(); err == nil {

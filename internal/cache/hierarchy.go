@@ -46,6 +46,14 @@ func DefaultParams() Params {
 	}
 }
 
+// Upper bounds on the miss path, checked by Validate: the fill ring is
+// sized to the miss latency, and a hostile request must not size it.
+const (
+	MaxLatency = 1 << 12 // L2Lat and MemLat, in cycles
+	MaxMSHRs   = 1 << 12 // MSHRs and MaxPending
+	MaxTargets = 1 << 10
+)
+
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	if err := p.L1.Validate(); err != nil {
@@ -57,11 +65,14 @@ func (p Params) Validate() error {
 	if p.L2.LineSize < p.L1.LineSize {
 		return fmt.Errorf("cache: L2 line size %d smaller than L1 line size %d", p.L2.LineSize, p.L1.LineSize)
 	}
-	if p.HitLat < 1 || p.L2Lat < 1 || p.MemLat < 0 {
-		return fmt.Errorf("cache: invalid latencies hit=%d l2=%d mem=%d", p.HitLat, p.L2Lat, p.MemLat)
+	if p.HitLat < 1 || p.L2Lat < 1 || p.MemLat < 0 || p.L2Lat > MaxLatency || p.MemLat > MaxLatency {
+		return fmt.Errorf("cache: invalid latencies hit=%d l2=%d mem=%d (l2 and mem at most %d)",
+			p.HitLat, p.L2Lat, p.MemLat, MaxLatency)
 	}
-	if p.MSHRs < 1 || p.MaxTargets < 1 || p.MaxPending < 1 {
-		return fmt.Errorf("cache: invalid mshr configuration %d/%d/%d", p.MSHRs, p.MaxTargets, p.MaxPending)
+	if p.MSHRs < 1 || p.MaxTargets < 1 || p.MaxPending < 1 ||
+		p.MSHRs > MaxMSHRs || p.MaxTargets > MaxTargets || p.MaxPending > MaxMSHRs {
+		return fmt.Errorf("cache: invalid mshr configuration %d/%d/%d (at most %d/%d/%d)",
+			p.MSHRs, p.MaxTargets, p.MaxPending, MaxMSHRs, MaxTargets, MaxMSHRs)
 	}
 	if p.L2PerCycle < 0 {
 		return fmt.Errorf("cache: negative L2 bandwidth %d", p.L2PerCycle)

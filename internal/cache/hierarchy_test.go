@@ -233,6 +233,10 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.HitLat = 0 },
 		func(p *Params) { p.MSHRs = 0 },
 		func(p *Params) { p.MaxPending = 0 },
+		func(p *Params) { p.MSHRs = MaxMSHRs + 1 },
+		func(p *Params) { p.MaxTargets = MaxTargets + 1 },
+		func(p *Params) { p.MemLat = MaxLatency + 1 },
+		func(p *Params) { p.L2.Size = 1 << 40 },
 	}
 	for i, mut := range bad {
 		p := DefaultParams()

@@ -15,6 +15,7 @@ import (
 
 	"lbic"
 	"lbic/client"
+	"lbic/internal/cellstore"
 	"lbic/internal/cluster"
 	"lbic/internal/runner"
 	"lbic/internal/server"
@@ -72,7 +73,7 @@ func simReq(bench, port string) client.SimulateRequest {
 func TestDispatcherServesByteIdenticalReports(t *testing.T) {
 	w1, w2 := newWorker(t), newWorker(t)
 	pool := cluster.NewPool([]string{w1.URL, w2.URL}, cluster.PoolOptions{})
-	d := cluster.NewDispatcher(pool, nil, cluster.Options{Backoff: noDelay})
+	d := cluster.NewDispatcher(pool, cluster.Options{Backoff: noDelay})
 	got, err := d.Execute(context.Background(), simReq("compress", "lbic-4x2"), "sim/compress/lbic-4x2/i20000")
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func TestDispatcherRetriesOntoAnotherWorker(t *testing.T) {
 	live := newWorker(t)
 
 	pool := cluster.NewPool([]string{dead.URL, live.URL}, cluster.PoolOptions{})
-	d := cluster.NewDispatcher(pool, nil, cluster.Options{Attempts: 3, Backoff: noDelay})
+	d := cluster.NewDispatcher(pool, cluster.Options{Attempts: 3, Backoff: noDelay})
 
 	// Pick a key homed on the dead worker so the first attempt must fail.
 	key := ""
@@ -128,7 +129,7 @@ func TestDispatcherRetriesOntoAnotherWorker(t *testing.T) {
 
 func TestDispatcherUnavailableWithNoWorkers(t *testing.T) {
 	pool := cluster.NewPool(nil, cluster.PoolOptions{})
-	d := cluster.NewDispatcher(pool, nil, cluster.Options{Backoff: noDelay})
+	d := cluster.NewDispatcher(pool, cluster.Options{Backoff: noDelay})
 	_, err := d.Execute(context.Background(), simReq("compress", "true-1"), "k")
 	if !errors.Is(err, cluster.ErrUnavailable) {
 		t.Errorf("err = %v, want ErrUnavailable", err)
@@ -141,7 +142,7 @@ func TestDispatcherUnavailableWithNoWorkers(t *testing.T) {
 func TestDispatcherBadRequestShortCircuits(t *testing.T) {
 	w := newWorker(t)
 	pool := cluster.NewPool([]string{w.URL}, cluster.PoolOptions{})
-	d := cluster.NewDispatcher(pool, nil, cluster.Options{Attempts: 5, Backoff: noDelay})
+	d := cluster.NewDispatcher(pool, cluster.Options{Attempts: 5, Backoff: noDelay})
 	req := simReq("no-such-benchmark", "true-1")
 	_, err := d.Execute(context.Background(), req, "k")
 	if !errors.Is(err, cluster.ErrUnavailable) {
@@ -153,45 +154,58 @@ func TestDispatcherBadRequestShortCircuits(t *testing.T) {
 	}
 }
 
+// newCoordinator boots a coordinator over the given workers whose cell
+// store is backed by dir.
+func newCoordinator(t *testing.T, workers []string, dir string) (*cluster.Dispatcher, *client.Client) {
+	t.Helper()
+	d := cluster.NewDispatcher(cluster.NewPool(workers, cluster.PoolOptions{}),
+		cluster.Options{Attempts: 1, Backoff: noDelay})
+	srv := server.New(server.Options{Role: "coordinator", Remote: d, StoreDir: dir})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	return d, client.New(ts.URL)
+}
+
+// A cell already in the coordinator's store is served from it: the
+// dispatcher is never consulted, even with no workers at all.
 func TestDispatcherStoreHitSkipsWorkers(t *testing.T) {
-	store, err := cluster.OpenStore(t.TempDir(), "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	canned := []byte(`{"canned":true}`)
-	store.Put("k", canned)
-	// No workers at all: only the store can serve this.
-	d := cluster.NewDispatcher(cluster.NewPool(nil, cluster.PoolOptions{}), store, cluster.Options{Backoff: noDelay})
-	got, err := d.Execute(context.Background(), simReq("compress", "true-1"), "k")
+	cellstore.New(-1, dir).Put(client.RequestSchema, "sim/compress/true-1/i20000", canned)
+	d, c := newCoordinator(t, nil, dir)
+	got, err := c.Simulate(context.Background(), simReq("compress", "true-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, canned) {
 		t.Errorf("store hit returned %s, want %s", got, canned)
 	}
+	if st := d.Status(); st.Dispatched != 0 {
+		t.Errorf("Dispatched = %d, want 0 (a store hit must not dispatch)", st.Dispatched)
+	}
 }
 
+// A worker-served cell lands in the coordinator's store, so a coordinator
+// restarted on the same directory serves it with the worker gone.
 func TestDispatcherPopulatesStore(t *testing.T) {
+	dir := t.TempDir()
 	w := newWorker(t)
-	store, err := cluster.OpenStore(t.TempDir(), "fp")
+	_, c := newCoordinator(t, []string{w.URL}, dir)
+	first, err := c.Simulate(context.Background(), simReq("compress", "true-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := cluster.NewPool([]string{w.URL}, cluster.PoolOptions{})
-	d := cluster.NewDispatcher(pool, store, cluster.Options{Backoff: noDelay})
-	const key = "sim/compress/true-1/i20000"
-	first, err := d.Execute(context.Background(), simReq("compress", "true-1"), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill the worker; the store must now serve the same bytes alone.
 	w.Close()
-	again, err := d.Execute(context.Background(), simReq("compress", "true-1"), key)
+	d, c2 := newCoordinator(t, []string{w.URL}, dir)
+	again, err := c2.Simulate(context.Background(), simReq("compress", "true-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, again) {
 		t.Error("store replay differs from the originally served report")
+	}
+	if st, err := c2.Cluster(context.Background()); err != nil || st.StoreHits != 1 || d.Status().Dispatched != 0 {
+		t.Errorf("restarted coordinator: %+v, %v; want 1 store hit and no dispatch", st, err)
 	}
 }
 
@@ -214,7 +228,7 @@ func TestDispatcherHedgeWinsOnStraggler(t *testing.T) {
 	t.Cleanup(slow.Close)
 
 	pool := cluster.NewPool([]string{slow.URL, live.URL}, cluster.PoolOptions{})
-	d := cluster.NewDispatcher(pool, nil, cluster.Options{
+	d := cluster.NewDispatcher(pool, cluster.Options{
 		Backoff:    noDelay,
 		HedgeAfter: 20 * time.Millisecond,
 	})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lbic/client"
+	"lbic/internal/cellstore"
 	"lbic/internal/runner"
 )
 
@@ -54,15 +55,14 @@ func (o Options) withDefaults() Options {
 }
 
 // Dispatcher routes cells onto a Pool of workers with the full robustness
-// story: content-addressed store lookup first, then consistent-hash
-// placement, per-cell retry with capped exponential backoff onto a
-// different worker, hedged duplicate dispatch for stragglers, and a
-// terminal ErrUnavailable that tells the caller to degrade to local
-// execution. It implements the server's RemoteExecutor contract.
+// story: consistent-hash placement, per-cell retry with capped exponential
+// backoff onto a different worker, hedged duplicate dispatch for
+// stragglers, and a terminal ErrUnavailable that tells the caller to
+// degrade to local execution. It implements the server's RemoteExecutor
+// contract.
 type Dispatcher struct {
-	pool  *Pool
-	store *Store // nil = no persistent store
-	opts  Options
+	pool *Pool
+	opts Options
 
 	dispatched  atomic.Uint64
 	remoteOK    atomic.Uint64
@@ -72,23 +72,20 @@ type Dispatcher struct {
 	unavailable atomic.Uint64
 }
 
-// NewDispatcher builds a dispatcher over a pool and an optional store.
-func NewDispatcher(pool *Pool, store *Store, opts Options) *Dispatcher {
-	return &Dispatcher{pool: pool, store: store, opts: opts.withDefaults()}
+// NewDispatcher builds a dispatcher over a pool.
+func NewDispatcher(pool *Pool, opts Options) *Dispatcher {
+	return &Dispatcher{pool: pool, opts: opts.withDefaults()}
 }
 
 // Pool returns the dispatcher's worker pool.
 func (d *Dispatcher) Pool() *Pool { return d.pool }
 
-// Execute serves one cell from the cluster: store hit, or a worker dispatch
-// with retry and hedging. A non-nil error means the cluster could not
-// produce the report (wrapped ErrUnavailable unless the context ended) and
-// the caller should run the cell locally.
+// Execute serves one cell from the cluster: a worker dispatch with retry
+// and hedging. A non-nil error means the cluster could not produce the
+// report (wrapped ErrUnavailable unless the context ended) and the caller
+// should run the cell locally.
 func (d *Dispatcher) Execute(ctx context.Context, req client.SimulateRequest, key string) ([]byte, error) {
 	d.dispatched.Add(1)
-	if b, ok := d.store.Get(key); ok {
-		return b, nil
-	}
 	lastErr := errors.New("no healthy workers")
 	for attempt := 0; attempt < d.opts.Attempts; attempt++ {
 		// Re-read the membership every attempt: a worker evicted while this
@@ -112,7 +109,6 @@ func (d *Dispatcher) Execute(ctx context.Context, req client.SimulateRequest, ke
 		b, err := d.attempt(ctx, primary, backup, req)
 		if err == nil {
 			d.remoteOK.Add(1)
-			d.store.Put(key, b)
 			return b, nil
 		}
 		if ctx.Err() != nil {
@@ -197,10 +193,11 @@ func (d *Dispatcher) attempt(ctx context.Context, primary, backup *Worker, req c
 	return nil, firstErr
 }
 
-// Status snapshots the cluster for GET /v1/cluster.
+// Status snapshots the cluster for GET /v1/cluster. The store counters are
+// the serving process's to fill.
 func (d *Dispatcher) Status() client.ClusterStatus {
-	st := client.ClusterStatus{
-		Fingerprint: Fingerprint(),
+	return client.ClusterStatus{
+		Fingerprint: cellstore.ModelFingerprint,
 		Workers:     d.pool.Status(),
 		Dispatched:  d.dispatched.Load(),
 		RemoteOK:    d.remoteOK.Load(),
@@ -209,12 +206,6 @@ func (d *Dispatcher) Status() client.ClusterStatus {
 		HedgeWins:   d.hedgeWins.Load(),
 		Unavailable: d.unavailable.Load(),
 	}
-	if d.store != nil {
-		st.Fingerprint = d.store.Fingerprint()
-		ss := d.store.Stats()
-		st.StoreHits, st.StoreMisses, st.StorePuts = ss.Hits, ss.Misses, ss.Puts
-	}
-	return st
 }
 
 // sleepCtx waits for d or ctx, whichever first.

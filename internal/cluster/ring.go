@@ -3,11 +3,11 @@
 // each serve single cells over the existing lbic-sim-request/v1 API. The
 // robustness machinery lives here — worker membership by heartbeat with
 // eviction and readmission, per-cell retry with backoff onto a different
-// worker, hedged duplicate dispatch for stragglers, a content-addressed
-// result store that survives restarts, and a chaos layer for drilling all of
-// it. The coordinator's server falls back to in-process execution when no
-// worker is reachable, so a cluster of zero workers degrades to exactly the
-// single-process lbicd it grew out of.
+// worker, hedged duplicate dispatch for stragglers, and a chaos layer for
+// drilling all of it. Finished cells are kept by the serving process's cell
+// store (internal/cellstore), not here. The coordinator's server falls back
+// to in-process execution when no worker is reachable, so a cluster of zero
+// workers degrades to exactly the single-process lbicd it grew out of.
 package cluster
 
 import (

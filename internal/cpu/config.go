@@ -31,9 +31,9 @@ type Config struct {
 	// StoreBufferSize bounds committed stores waiting to be written to the
 	// cache; a full buffer stalls commit.
 	StoreBufferSize int
-	// FUCount gives the number of functional units per class; zero entries
-	// for compute classes default to Table 1's 64. Latencies are fixed by
-	// isa.LatencyOf.
+	// FUCount gives the number of functional units per class. Every class
+	// but isa.ClassNone needs at least one: an operation of a class without
+	// units could never issue. Latencies are fixed by isa.LatencyOf.
 	FUCount [isa.NumClasses]int
 	// MemScanDepth bounds how many ready memory requests are presented to
 	// the port arbiter per cycle (the LSQ scheduling window).
@@ -73,24 +73,42 @@ func DefaultConfig() Config {
 	}
 }
 
+// Upper bounds on the structures, checked by Validate so a hostile
+// configuration is rejected before it allocates: MaxWidth bounds the
+// fetch, issue and commit widths, the memory scan depth and each unit
+// count; MaxWindow bounds the RUU (and so the LSQ) and the store buffer.
+const (
+	MaxWidth  = 1 << 12
+	MaxWindow = 1 << 16
+)
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {
-	case c.FetchWidth < 1 || c.IssueWidth < 1 || c.CommitWidth < 1:
-		return fmt.Errorf("cpu: widths must be positive (fetch=%d issue=%d commit=%d)",
-			c.FetchWidth, c.IssueWidth, c.CommitWidth)
+	case c.FetchWidth < 1 || c.IssueWidth < 1 || c.CommitWidth < 1,
+		c.FetchWidth > MaxWidth || c.IssueWidth > MaxWidth || c.CommitWidth > MaxWidth:
+		return fmt.Errorf("cpu: widths must be positive and at most %d (fetch=%d issue=%d commit=%d)",
+			MaxWidth, c.FetchWidth, c.IssueWidth, c.CommitWidth)
 	case c.RUUSize < 1:
 		return fmt.Errorf("cpu: RUU size %d is not positive", c.RUUSize)
+	case c.RUUSize > MaxWindow:
+		return fmt.Errorf("cpu: RUU size %d exceeds %d", c.RUUSize, MaxWindow)
 	case c.LSQSize < 1 || c.LSQSize > c.RUUSize:
 		return fmt.Errorf("cpu: LSQ size %d must be in [1,%d]", c.LSQSize, c.RUUSize)
-	case c.StoreBufferSize < 1:
-		return fmt.Errorf("cpu: store buffer size %d is not positive", c.StoreBufferSize)
-	case c.MemScanDepth < 1:
-		return fmt.Errorf("cpu: memory scan depth %d is not positive", c.MemScanDepth)
+	case c.StoreBufferSize < 1 || c.StoreBufferSize > MaxWindow:
+		return fmt.Errorf("cpu: store buffer size %d is not in [1,%d]", c.StoreBufferSize, MaxWindow)
+	case c.MemScanDepth < 1 || c.MemScanDepth > MaxWidth:
+		return fmt.Errorf("cpu: memory scan depth %d is not in [1,%d]", c.MemScanDepth, MaxWidth)
 	}
 	for cl, n := range c.FUCount {
 		if n < 0 {
 			return fmt.Errorf("cpu: negative unit count %d for class %s", n, isa.Class(cl))
+		}
+		if n == 0 && isa.Class(cl) != isa.ClassNone {
+			return fmt.Errorf("cpu: no %s units: its operations could never issue", isa.Class(cl))
+		}
+		if n > MaxWidth {
+			return fmt.Errorf("cpu: unit count %d for class %s exceeds %d", n, isa.Class(cl), MaxWidth)
 		}
 	}
 	return nil

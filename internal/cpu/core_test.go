@@ -368,6 +368,12 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.StoreBufferSize = 0 },
 		func(c *Config) { c.MemScanDepth = 0 },
 		func(c *Config) { c.FUCount[isa.ClassIntALU] = -1 },
+		func(c *Config) { c.FUCount[isa.ClassIntALU] = MaxWidth + 1 },
+		func(c *Config) { c.FUCount[isa.ClassFPDiv] = 0 },
+		func(c *Config) { c.IssueWidth = MaxWidth + 1 },
+		func(c *Config) { c.RUUSize = 1 << 30 },
+		func(c *Config) { c.StoreBufferSize = MaxWindow + 1 },
+		func(c *Config) { c.MemScanDepth = MaxWidth + 1 },
 	}
 	for i, mut := range muts {
 		cfg := DefaultConfig()

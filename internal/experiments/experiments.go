@@ -7,7 +7,7 @@
 // package, so the numbers reported everywhere come from one implementation.
 //
 // Every generator takes a *Sweep, which carries the execution policy:
-// parallelism, per-cell timeouts and retries, checkpoint/resume, and
+// parallelism, per-cell timeouts and retries, a cell store, and
 // graceful shutdown. Failed cells render as ERR and are listed in
 // Sweep.Failures; with Sweep.KeepGoing a partial sweep still produces every
 // table.

@@ -3,9 +3,9 @@ package experiments
 // Shared-point result memo: simulation cells that read the same simulated
 // point — the same (program, port, budget, mutation) appearing in two tables,
 // or the IPC and conflict-rate views of one run — simulate it once per sweep.
-// Cells already answered by the journal or the memo settle before the runner
-// sees them, so a table regenerated from a finished sweep opens no cell spans
-// and schedules no work.
+// Cells already answered by the cell store or the memo settle before the
+// runner sees them, so a table regenerated from a finished sweep opens no
+// cell spans and schedules no work.
 
 import (
 	"context"
@@ -26,7 +26,7 @@ type simSpec struct {
 
 // specRegistry maps cell keys to their memo identities. Cells without a
 // registered spec (characterization, miss-rate grids) settle early only from
-// the journal.
+// the cell store.
 type specRegistry struct {
 	mu sync.Mutex
 	m  map[string]simSpec
@@ -47,7 +47,9 @@ func (r *specRegistry) get(key string) (simSpec, bool) {
 
 // resultMemo caches completed simulation Results by memoKey for the lifetime
 // of one sweep. Replay determinism makes a second simulation of the same
-// point identical, so reuse cannot change any output.
+// point identical, so reuse cannot change any output. It is not the cell
+// store: it holds unserialized Results per simulated point, and two cell
+// keys (the IPC and conflict-rate views) read one point.
 type resultMemo struct {
 	mu sync.Mutex
 	m  map[string]*lbic.Result
@@ -85,10 +87,11 @@ func (sw *Sweep) simMemoCell(key, memoKey string, pick func(*lbic.Result) float6
 	}}
 }
 
-// settleCached stores into out every cell the journal or the memo already
-// answers, firing OnCell once for each, and returns the cells left to run.
-// A memo hit is journaled like a run cell. Cells targeted by fault injection
-// never settle here, so an injected fault still lands on its cell.
+// settleCached stores into out every cell the cell store or the memo
+// already answers, firing OnCell once for each, and returns the cells left
+// to run. It is the only place a sweep reads stored cells. A memo hit is
+// stored like a run cell. Cells targeted by fault injection never settle
+// here, so an injected fault still lands on its cell.
 func settleCached[T any](sw *Sweep, cells []runner.Cell[T], out map[string]T) []runner.Cell[T] {
 	rest := make([]runner.Cell[T], 0, len(cells))
 	for _, c := range cells {
@@ -105,18 +108,16 @@ func settleCached[T any](sw *Sweep, cells []runner.Cell[T], out map[string]T) []
 	return rest
 }
 
-// cachedValue returns key's value from the journal, or from the memo (then
-// journaling it), unless fault injection targets the cell.
+// cachedValue returns key's value from the cell store, or from the memo
+// (then storing it), unless fault injection targets the cell.
 func cachedValue[T any](sw *Sweep, key string) (T, bool) {
 	var v T
 	if matchAny(key, sw.InjectPanic) || matchAny(key, sw.InjectHang) {
 		return v, false
 	}
-	if sw.Journal != nil {
-		// An entry that no longer unmarshals is absent, as in the runner.
-		if raw, ok := sw.Journal.Lookup(key); ok && json.Unmarshal(raw, &v) == nil {
-			return v, true
-		}
+	// An entry that no longer unmarshals (the value type changed) is absent.
+	if raw, ok := sw.Store.Get(cellSchema, key); ok && json.Unmarshal(raw, &v) == nil {
+		return v, true
 	}
 	spec, ok := sw.specs.get(key)
 	if !ok {
@@ -127,8 +128,24 @@ func cachedValue[T any](sw *Sweep, key string) (T, bool) {
 		return v, false
 	}
 	// Specs are registered only for float64 cells, so the assertion holds.
-	if v, ok = any(spec.pick(res)).(T); ok && sw.Journal != nil {
-		sw.Journal.Record(key, v)
+	if v, ok = any(spec.pick(res)).(T); ok {
+		sw.record(key, v)
 	}
 	return v, ok
+}
+
+// cellSchema addresses sweep values (an IPC, a BenchmarkStats, a
+// Distribution, keyed by cell key) in the cell store, apart from the run
+// reports lbicd stores under the same key strings.
+const cellSchema = "lbic-sweep-cell/v1"
+
+// record stores a finished cell's value in the sweep's cell store, if any.
+// A value that does not marshal is simply not stored.
+func (sw *Sweep) record(key string, v any) {
+	if sw.Store == nil {
+		return
+	}
+	if raw, err := json.Marshal(v); err == nil {
+		sw.Store.Put(cellSchema, key, raw)
+	}
 }

@@ -8,17 +8,18 @@ import (
 	"time"
 
 	"lbic"
+	"lbic/internal/cellstore"
 	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
 
 // Sweep carries the execution policy for a set of experiment runs: the
 // instruction budget, parallelism, per-cell timeout and retry policy, the
-// checkpoint journal, and graceful-shutdown plumbing. Every table and figure
+// cell store, and graceful-shutdown plumbing. Every table and figure
 // generator takes one, so a single panicking port design, hung pipeline, or
 // ^C costs individual cells (rendered as ERR) rather than the whole
 // evaluation. The zero value of every field is the conservative default:
-// serial, no timeout, no retries, fail-fast, no journal.
+// serial, no timeout, no retries, fail-fast, no store.
 type Sweep struct {
 	// Insts is the per-run instruction budget.
 	Insts uint64
@@ -33,14 +34,15 @@ type Sweep struct {
 	// KeepGoing renders tables with ERR cells instead of stopping at the
 	// first failure.
 	KeepGoing bool
-	// Journal checkpoints completed cells for -resume.
-	Journal *runner.Journal
+	// Store, when non-nil, serves cells finished by an earlier run and
+	// records each new success, under cellSchema.
+	Store *cellstore.Store
 	// Trace, when non-nil, records each program's dynamic trace once and
 	// replays it for every cell at the same instruction budget — simulation
 	// cells, Table 2 characterization, and Figure 3 reference-stream
 	// analysis all share one recording. Results are bit-identical with and
-	// without it (cell keys deliberately ignore it), so journals stay
-	// compatible either way.
+	// without it (cell keys deliberately ignore it), so stored cells stay
+	// valid either way.
 	Trace *lbic.TraceCache
 	// Spans, when non-nil, records every cell of this sweep as spans on the
 	// trace (cell attempts, retries, deadline slack from the runner; cycles
@@ -183,7 +185,6 @@ func (sw *Sweep) options() runner.Options {
 		Timeout:   sw.Timeout,
 		Retries:   sw.Retries,
 		KeepGoing: sw.KeepGoing,
-		Journal:   sw.Journal,
 		Stop:      sw.Stop,
 		OnCell:    sw.OnCell,
 	}
@@ -201,6 +202,7 @@ func sweepRun[T any](sw *Sweep, cells []runner.Cell[T]) (map[string]T, error) {
 	for _, r := range out.Results {
 		if r.Err == nil {
 			m[r.Key] = r.Value
+			sw.record(r.Key, r.Value)
 		} else {
 			sw.log.add(CellError{Key: r.Key, Err: r.Err})
 		}
@@ -239,7 +241,7 @@ func matchAny(key string, subs []string) bool {
 
 // --- cell constructors ---
 // Keys are stable, human-readable encodings of the full cell configuration;
-// they are the journal's checkpoint identity, so anything that changes the
+// they are the cell store's identity, so anything that changes the
 // simulated configuration must appear in the key.
 
 // simBench is one benchmark under one port organization at the sweep budget.
@@ -287,7 +289,7 @@ func (sw *Sweep) simCell(key, memoKey string, pick func(*lbic.Result) float64, b
 }
 
 // simBenchConflict is simBench reduced to the port conflict rate (stalled
-// requests per granted access). Distinct key namespace — the journaled value
+// requests per granted access). Distinct key namespace — the stored value
 // differs — but the memo key matches the IPC cell's, so the same
 // (benchmark, port, budget) point appearing in an IPC table and a conflict
 // table is simulated once.
@@ -320,7 +322,7 @@ func (sw *Sweep) charCell(name string, geom lbic.Geometry) runner.Cell[lbic.Benc
 }
 
 // missRateCell is charCell reduced to the miss rate, for the capacity and
-// associativity grids. Distinct key namespace: the journaled value differs.
+// associativity grids. Distinct key namespace: the stored value differs.
 func (sw *Sweep) missRateCell(name string, geom lbic.Geometry) runner.Cell[float64] {
 	insts := sw.Insts
 	tc := sw.Trace

@@ -1,15 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"lbic"
+	"lbic/internal/cellstore"
 	"lbic/internal/runner"
 	"lbic/internal/stats"
 )
@@ -73,67 +71,85 @@ func TestSweepRendersERRForInjectedFaults(t *testing.T) {
 	}
 }
 
-// A resumed sweep must serve completed cells from the journal and rerun only
-// the failed ones. The second pass injects panics into every previously
-// successful cell: if any of them reran instead of being served from the
-// checkpoint, the table would show ERR.
+// A rerun on the same cell store must serve completed cells from it and
+// rerun only the failed one: one cell span, three store hits, one new put.
 func TestSweepResumeRerunsOnlyFailedCells(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-
-	j, err := runner.OpenJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
 	sw := NewSweep(5_000)
 	sw.KeepGoing = true
-	sw.Journal = j
+	sw.Store = cellstore.New(-1, dir)
 	sw.InjectPanic = []string{"pat:random/bank-4"}
-	tab, err := testGrid(sw)
-	if err != nil {
-		t.Fatal(err)
+	if got := strings.Count(renderText(t, sw), errCell); got != 1 {
+		t.Fatalf("first pass has %d ERR cells, want 1", got)
 	}
-	var sb strings.Builder
-	if err := tab.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), errCell) {
-		t.Fatalf("first pass should have one ERR cell:\n%s", sb.String())
-	}
-	if j.Len() != 3 {
-		t.Fatalf("journal has %d cells after first pass, want 3", j.Len())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	if n := sw.Store.Stats().Puts; n != 3 {
+		t.Fatalf("first pass stored %d cells, want 3", n)
 	}
 
-	j2, err := runner.OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Resumed() != 3 {
-		t.Fatalf("Resumed() = %d, want 3", j2.Resumed())
-	}
 	sw2 := NewSweep(5_000)
-	sw2.Journal = j2
-	// Sabotage the three checkpointed cells; only the failed one may run.
-	sw2.InjectPanic = []string{"pat:unit-stride", "pat:random/true-1"}
-	tab2, err := testGrid(sw2)
-	if err != nil {
-		t.Fatal(err)
+	sw2.Store = cellstore.New(-1, dir)
+	sw2.Spans = lbic.NewRequestTrace()
+	if out := renderText(t, sw2); strings.Contains(out, errCell) {
+		t.Errorf("rerun rendered ERR:\n%s", out)
 	}
-	sb.Reset()
-	if err := tab2.Render(&sb); err != nil {
-		t.Fatal(err)
+	var ran []string
+	for _, sp := range sw2.Spans.Snapshot() {
+		if strings.HasPrefix(sp.Name, "cell ") {
+			ran = append(ran, sp.Name)
+		}
 	}
-	if strings.Contains(sb.String(), errCell) {
-		t.Errorf("resumed pass reran checkpointed cells:\n%s", sb.String())
+	if len(ran) != 1 || !strings.Contains(ran[0], "pat:random/bank-4") {
+		t.Errorf("rerun ran %v, want only the failed cell", ran)
 	}
-	if fails := sw2.Failures(); len(fails) != 0 {
-		t.Errorf("resumed pass failures: %v", fails)
+	if st := sw2.Store.Stats(); st.DiskHits != 3 || st.Puts != 1 {
+		t.Errorf("rerun store traffic = %+v, want 3 hits and 1 put", st)
 	}
-	if j2.Len() != 4 {
-		t.Errorf("journal has %d cells after resume, want 4", j2.Len())
+}
+
+// A sweep on a reopened store renders the stored values themselves, not a
+// recomputation: a planted value shows in its cell, and no cell runs.
+func TestSweepStoreRoundTripResume(t *testing.T) {
+	dir := t.TempDir()
+	sw := NewSweep(5_000)
+	sw.Store = cellstore.New(-1, dir)
+	renderText(t, sw)
+
+	cellstore.New(-1, dir).Put(cellSchema, "sim/pat:random/bank-4/i5000", []byte("7.25"))
+
+	sw2 := NewSweep(5_000)
+	sw2.Store = cellstore.New(-1, dir)
+	sw2.Spans = lbic.NewRequestTrace()
+	if out := renderText(t, sw2); !strings.Contains(out, "7.250") {
+		t.Errorf("planted value not rendered:\n%s", out)
+	}
+	for _, sp := range sw2.Spans.Snapshot() {
+		if strings.HasPrefix(sp.Name, "cell ") {
+			t.Errorf("resumed sweep ran %s", sp.Name)
+		}
+	}
+	if st := sw2.Store.Stats(); st.DiskHits != 4 || st.Puts != 0 {
+		t.Errorf("resumed store traffic = %+v, want 4 hits and no puts", st)
+	}
+}
+
+// A stored cell targeted by InjectPanic renders ERR: fault injection wins
+// over the store, so a drill on a finished sweep still exercises the
+// fault-isolation path.
+func TestSweepInjectPanicOnStoredCellRendersERR(t *testing.T) {
+	dir := t.TempDir()
+	sw := NewSweep(5_000)
+	sw.Store = cellstore.New(-1, dir)
+	renderText(t, sw)
+
+	sw2 := NewSweep(5_000)
+	sw2.Store = cellstore.New(-1, dir)
+	sw2.KeepGoing = true
+	sw2.InjectPanic = []string{"pat:random/bank-4"}
+	if got := strings.Count(renderText(t, sw2), errCell); got != 1 {
+		t.Errorf("stored cell targeted by InjectPanic: %d ERR cells, want 1", got)
+	}
+	if fails := sw2.Failures(); len(fails) != 1 || !strings.Contains(fails[0].Err.Error(), "injected panic") {
+		t.Errorf("Failures() = %v, want the injected panic alone", fails)
 	}
 }
 
@@ -205,6 +221,20 @@ func TestSweepSpansRecorded(t *testing.T) {
 	}
 }
 
+// renderText runs testGrid on sw and returns its rendered text.
+func renderText(t *testing.T, sw *Sweep) string {
+	t.Helper()
+	tab, err := testGrid(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := tab.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 // renderGrid runs testGrid on sw and returns its JSON and rendered text.
 func renderGrid(t *testing.T, sw *Sweep) string {
 	t.Helper()
@@ -223,22 +253,14 @@ func renderGrid(t *testing.T, sw *Sweep) string {
 }
 
 // Regenerating a grid on a finished sweep must settle every cell before the
-// runner: journal hits and memo hits open no cell spans, fire OnCell once,
-// and a memo hit is journaled exactly once. A fault injected on a memo-hit
-// key must still land.
+// runner: store hits and memo hits open no cell spans, fire OnCell once,
+// and a memo hit is stored exactly once. A fault injected on a memo-hit key
+// must still land.
 func TestSweepMemoHitsSettleBeforeRunner(t *testing.T) {
-	dir := t.TempDir()
-	openJournal := func(name string) *runner.Journal {
-		j, err := runner.OpenJournal(filepath.Join(dir, name), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
 	sw := NewSweep(5_000)
 	sw.Jobs = 2
 	sw.Spans = lbic.NewRequestTrace()
-	sw.Journal = openJournal("first.jsonl")
+	sw.Store = cellstore.New(-1, t.TempDir())
 	calls := map[string]int{}
 	sw.OnCell = func(key string, err error) {
 		if err != nil {
@@ -282,59 +304,26 @@ func TestSweepMemoHitsSettleBeforeRunner(t *testing.T) {
 	if n := cellSpans(); n != 4 {
 		t.Fatalf("first pass opened %d cell spans, want 4", n)
 	}
-	pass("journal pass")
-
-	// A fresh journal leaves only the memo to answer; each memo hit is
-	// journaled once.
-	if err := sw.Journal.Close(); err != nil {
-		t.Fatal(err)
+	pass("store pass")
+	if st := sw.Store.Stats(); st.DiskHits != 4 || st.Puts != 4 {
+		t.Errorf("store pass traffic = %+v, want 4 hits and no new puts", st)
 	}
-	sw.Journal = openJournal("second.jsonl")
+
+	// A fresh store leaves only the memo to answer; each memo hit is stored
+	// once.
+	sw.Store = cellstore.New(-1, t.TempDir())
 	pass("memo pass")
-	if err := sw.Journal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"first.jsonl", "second.jsonl"} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := map[string]int{}
-		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-			if line == "" {
-				continue
-			}
-			var rec struct{ Key string }
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			keys[rec.Key]++
-		}
-		if len(keys) != 4 {
-			t.Errorf("%s holds %d keys, want 4", name, len(keys))
-		}
-		for k, n := range keys {
-			if n != 1 {
-				t.Errorf("%s holds %s %d times, want once", name, k, n)
-			}
-		}
+	if st := sw.Store.Stats(); st.DiskHits != 0 || st.Puts != 4 {
+		t.Errorf("memo pass traffic = %+v, want 4 puts", st)
 	}
 
-	sw.Journal = nil
+	sw.Store = nil
 	sw.KeepGoing = true
 	sw.InjectPanic = []string{"pat:random/bank-4"}
 	clear(calls)
 	sw.OnCell = func(key string, err error) { calls[key]++ }
-	tab, err := testGrid(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := tab.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(sb.String(), errCell); got != 1 {
-		t.Errorf("injected memo-hit cell: %d ERR cells, want 1:\n%s", got, sb.String())
+	if out := renderText(t, sw); strings.Count(out, errCell) != 1 {
+		t.Errorf("injected memo-hit cell: want 1 ERR cell:\n%s", out)
 	}
 	if len(calls) != 4 {
 		t.Errorf("injected pass: OnCell saw %d keys, want 4", len(calls))

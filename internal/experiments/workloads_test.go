@@ -39,9 +39,9 @@ func TestWorkloadMatrices(t *testing.T) {
 	}
 }
 
-// TestGenCellKeyEncodesParams pins the journal-identity contract: the cell
+// TestGenCellKeyEncodesParams pins the cell-store identity contract: the cell
 // key carries the fully resolved generator parameters, so a defaults change
-// cannot silently reuse checkpointed values.
+// cannot silently reuse stored values.
 func TestGenCellKeyEncodesParams(t *testing.T) {
 	sw := testSweep(tinyInsts)
 	cell := sw.simGen("zipf", lbic.BankedPort(4))

@@ -1,15 +1,13 @@
 // Package runner executes sweeps of independent simulation cells — one cell
 // per (program, port organization, budget) point — with bounded parallelism,
-// per-cell fault isolation, and checkpoint/resume. It exists so a single
-// panicking arbiter, hung pipeline, or impatient ^C costs one table cell, not
-// a whole evaluation run: every failure is contained in its cell's Result,
-// and a journal of completed cells lets an interrupted sweep pick up where it
-// left off.
+// per-cell fault isolation, retries and graceful shutdown. It exists so a
+// single panicking arbiter, hung pipeline, or impatient ^C costs one table
+// cell, not a whole evaluation run: every failure is contained in its cell's
+// Result. Reusing finished cells is the caller's concern (internal/cellstore).
 package runner
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -23,8 +21,8 @@ import (
 // Cell is one independent unit of sweep work.
 type Cell[T any] struct {
 	// Key identifies the cell across runs; it must be unique within a sweep
-	// and stable for a given configuration, because it is the journal's
-	// checkpoint key. Use a readable encoding of the full configuration,
+	// and stable for a given configuration, because callers store finished
+	// cells under it. Use a readable encoding of the full configuration,
 	// e.g. "sim/compress/lbic-4x2/i1000000".
 	Key string
 	// Run computes the cell. It must honor ctx promptly: a cell that ignores
@@ -40,12 +38,10 @@ type Result[T any] struct {
 	// Err is nil on success, ErrSkipped if the sweep stopped before the cell
 	// started, a *PanicError if the cell panicked, or the cell's own error.
 	Err error
-	// Attempts counts executions (0 for cached or skipped cells).
+	// Attempts counts executions (0 for skipped cells).
 	Attempts int
 	// Elapsed is the total wall-clock time across attempts.
 	Elapsed time.Duration
-	// Cached reports that the value was served from the journal.
-	Cached bool
 }
 
 // Options configures a sweep.
@@ -66,16 +62,13 @@ type Options struct {
 	// per-cell errors in the Outcome; without it the first failure stops the
 	// sweep (in-flight cells finish, unstarted ones are marked ErrSkipped).
 	KeepGoing bool
-	// Journal, when non-nil, serves previously completed cells from its
-	// checkpoint and records each new success.
-	Journal *Journal
 	// Stop, when non-nil, requests graceful shutdown when it becomes
 	// readable: no new cells start, in-flight cells finish (or time out),
 	// and the remainder are marked ErrSkipped. Unlike ctx cancellation it is
 	// not an error: Run returns the partial Outcome with a nil error.
 	Stop <-chan struct{}
 	// OnCell, when non-nil, is called after each cell settles (success,
-	// failure, cache hit, or skip), serialized across workers.
+	// failure, or skip), serialized across workers.
 	OnCell func(key string, err error)
 }
 
@@ -83,7 +76,7 @@ type Options struct {
 // order, plus tallies.
 type Outcome[T any] struct {
 	Results []Result[T]
-	Done    int // succeeded, including journal cache hits
+	Done    int // succeeded
 	Failed  int // ran and failed
 	Skipped int // never started (stop requested or fail-fast)
 }
@@ -233,29 +226,17 @@ func Run[T any](ctx context.Context, cells []Cell[T], opts Options) (Outcome[T],
 	return out, nil
 }
 
-// runCell serves one cell from the journal or executes it with retries.
+// runCell executes one cell with retries.
 //
 // When ctx carries a trace, the cell contributes a "cell <key>" span
-// covering journal lookup through final attempt. Only this goroutine
-// annotates or ends the span — the attempt goroutine (which may outlive an
-// abandoned cell) opens its own child spans instead — so a span is closed
-// exactly once even across panics, deadlines, and abandonment.
+// covering every attempt. Only this goroutine annotates or ends the span —
+// the attempt goroutine (which may outlive an abandoned cell) opens its own
+// child spans instead — so a span is closed exactly once even across
+// panics, deadlines, and abandonment.
 func runCell[T any](ctx context.Context, c Cell[T], opts Options) Result[T] {
 	ctx, span := tracing.Start(ctx, "cell "+c.Key)
 	defer span.End()
 	res := Result[T]{Key: c.Key}
-	if opts.Journal != nil {
-		if raw, ok := opts.Journal.Lookup(c.Key); ok {
-			// An entry that no longer unmarshals (the Result type changed
-			// between versions) is treated as absent, not fatal.
-			var v T
-			if err := json.Unmarshal(raw, &v); err == nil {
-				res.Value, res.Cached = v, true
-				span.SetAttr("journal_cached", true)
-				return res
-			}
-		}
-	}
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
@@ -278,11 +259,6 @@ func runCell[T any](ctx context.Context, c Cell[T], opts Options) Result[T] {
 	span.SetAttr("attempts", res.Attempts)
 	if res.Err != nil {
 		span.SetAttr("error", res.Err.Error())
-	}
-	if res.Err == nil && opts.Journal != nil {
-		// Journal write failures are reported at Close, not charged to the
-		// cell: the value itself is good.
-		opts.Journal.Record(c.Key, res.Value)
 	}
 	return res
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // cellSpec is one validated unit of simulation work: a named program under
-// a full configuration, with the stable key the result cache, singleflight,
-// and journal-style identities all share.
+// a full configuration, with the stable key the cell store and singleflight
+// share.
 type cellSpec struct {
 	// benchmark or pattern names the program, or trace holds an uploaded
 	// recorded stream; exactly one is set.
@@ -205,13 +205,13 @@ type flight struct {
 	err   error
 }
 
-// executeCell produces one cell's report: result cache, then singleflight
+// executeCell produces one cell's report: cell store, then singleflight
 // dedup, then an actual bounded, isolated simulation. ctx only governs this
 // caller's wait — the simulation itself runs under the server's lifetime so
 // one impatient client cannot poison the waiters sharing its flight.
 //
 // When ctx carries a trace, the cell contributes an "exec <key>" span
-// annotated with which reuse layer served it: result-cache hit, singleflight
+// annotated with which reuse layer served it: cell-store hit, singleflight
 // follower, or singleflight leader (the one that actually simulates).
 func (s *Server) executeCell(ctx context.Context, sp cellSpec) client.CellResult {
 	start := time.Now()
@@ -225,7 +225,7 @@ func (s *Server) executeCell(ctx context.Context, sp cellSpec) client.CellResult
 		return cr
 	}
 	cr := client.CellResult{Key: sp.key, Benchmark: sp.progToken(), Port: sp.port.Key()}
-	if b, ok := s.results.get(sp.key); ok {
+	if b, ok := s.store.Get(client.RequestSchema, sp.key); ok {
 		span.SetAttr("result_cache", "hit")
 		cr.Cached = true
 		cr.Report = b
@@ -257,7 +257,7 @@ func (s *Server) executeCell(ctx context.Context, sp cellSpec) client.CellResult
 
 	f.bytes, f.err = s.simulateCell(ctx, sp)
 	if f.err == nil {
-		s.results.put(sp.key, f.bytes)
+		s.store.Put(client.RequestSchema, sp.key, f.bytes)
 	}
 	s.flightMu.Lock()
 	delete(s.inflight, sp.key)

@@ -72,7 +72,7 @@ func TestJobTraceTree(t *testing.T) {
 		switch {
 		case strings.HasPrefix(sp.Name, "cell "):
 			cellSpans++
-			if sp.Attrs["journal_cached"] == nil && sp.Attrs["attempts"] == nil {
+			if sp.Attrs["attempts"] == nil {
 				t.Errorf("cell span %q missing attempts attr: %v", sp.Name, sp.Attrs)
 			}
 		case strings.HasPrefix(sp.Name, "simulate "):

@@ -5,7 +5,8 @@
 // bounded parallelism, per-cell deadlines, and panic isolation, deduplicated
 // across concurrent identical requests by a singleflight keyed on the stable
 // cell key, and served from two reuse layers — a process-wide trace cache
-// (record once, replay many) and an LRU result cache keyed by (program,
+// (record once, replay many) and the cell store (internal/cellstore: a
+// memory LRU, optionally over a shared directory) keyed by (program,
 // config) — so a repeated table regeneration costs no simulation at all.
 // Jobs stream per-cell progress as JSONL or SSE, /metrics exports the
 // registry, and a graceful drain finishes in-flight work before exit.
@@ -29,6 +30,7 @@ import (
 
 	"lbic"
 	"lbic/client"
+	"lbic/internal/cellstore"
 	"lbic/internal/metrics"
 	"lbic/internal/runner"
 	"lbic/internal/tracing"
@@ -50,9 +52,12 @@ type Options struct {
 	// TraceCacheBytes budgets the shared trace cache. Default 256 MiB;
 	// < 0 disables trace caching (every run re-emulates).
 	TraceCacheBytes int64
-	// ResultCacheBytes budgets the report LRU. Default 64 MiB; < 0 disables
-	// result caching.
+	// ResultCacheBytes budgets the cell store's memory tier. Default 64 MiB;
+	// < 0 disables it.
 	ResultCacheBytes int64
+	// StoreDir, when set, backs the cell store with this directory, shared
+	// across restarts and by any processes pointed at it, in every role.
+	StoreDir string
 	// MaxJobs bounds retained sweep jobs; when full, the oldest finished job
 	// is evicted, and if none has finished new sweeps are rejected with 429.
 	// Default 64.
@@ -65,7 +70,7 @@ type Options struct {
 	// tell who answered.
 	Role string
 	// Remote, when non-nil, makes this server a cluster coordinator: cells
-	// that miss the result cache are offered to the remote executor first
+	// that miss the cell store are offered to the remote executor first
 	// (which shards them onto workers with retry and hedging) and only run
 	// in-process when it reports the cluster unavailable — the graceful
 	// degradation path that keeps a sweep completing with zero reachable
@@ -125,8 +130,8 @@ type Server struct {
 	// traces is the process-wide record-once/replay-many trace cache; nil
 	// when disabled.
 	traces *lbic.TraceCache
-	// results is the report LRU; nil when disabled.
-	results *resultCache
+	// store holds finished reports; nil when both its tiers are disabled.
+	store *cellstore.Store
 
 	progMu   sync.Mutex
 	programs map[string]*lbic.Program
@@ -196,8 +201,8 @@ func New(opts Options) *Server {
 	if opts.TraceCacheBytes >= 0 {
 		s.traces = lbic.NewTraceCache(opts.TraceCacheBytes)
 	}
-	if opts.ResultCacheBytes >= 0 {
-		s.results = newResultCache(opts.ResultCacheBytes)
+	if opts.ResultCacheBytes >= 0 || opts.StoreDir != "" {
+		s.store = cellstore.New(opts.ResultCacheBytes, opts.StoreDir)
 	}
 	return s
 }
@@ -728,7 +733,10 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "not a coordinator (no cluster configured)")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.opts.Remote.Status())
+	st := s.opts.Remote.Status()
+	ss := s.store.Stats()
+	st.StoreHits, st.StoreMisses, st.StorePuts = ss.DiskHits, ss.DiskMisses, ss.Puts
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -790,8 +798,8 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 	s.jobsMu.Lock()
 	add("server.jobs", "sweep jobs accepted", s.nextJob.Load())
 	s.jobsMu.Unlock()
-	if s.results != nil {
-		st := s.results.stats()
+	if s.opts.ResultCacheBytes >= 0 {
+		st := s.store.Stats()
 		add("resultcache.hits", "cells served from the result cache", st.Hits)
 		add("resultcache.misses", "result cache lookups that missed", st.Misses)
 		add("resultcache.evictions", "reports evicted by the byte-budget LRU", st.Evictions)

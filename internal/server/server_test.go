@@ -187,6 +187,33 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// StoreDir works in every role: a standalone server restarted on the same
+// directory serves the cell it already computed without running it, and a
+// disabled memory tier still reads through to the directory.
+func TestStoreDirServesRestartedServer(t *testing.T) {
+	dir := t.TempDir()
+	req := client.SimulateRequest{Benchmark: "compress", Port: client.Port("lbic-4x2"), Insts: testInsts}
+	ctx := context.Background()
+	_, c1 := newTestServer(t, server.Options{StoreDir: dir})
+	first, err := c1.Simulate(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []server.Options{{StoreDir: dir}, {StoreDir: dir, ResultCacheBytes: -1, Role: "worker"}} {
+		_, c := newTestServer(t, opts)
+		again, err := c.Simulate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Errorf("%+v: restarted server served different bytes", opts)
+		}
+		if n := counter(t, c, "server.cells_executed"); n != 0 {
+			t.Errorf("%+v: restarted server executed %d cells, want 0", opts, n)
+		}
+	}
+}
+
 func TestConcurrentIdenticalRequestsRunOnce(t *testing.T) {
 	_, c := newTestServer(t, server.Options{MaxParallel: 4})
 	ctx := context.Background()

@@ -162,7 +162,7 @@ const (
 
 // PortConfig describes one cache port organization instance. It marshals to
 // JSON with the kind and selector as their canonical name tokens, so the CLI,
-// the lbicd service schema, and sweep journals share one serialization; the
+// the lbicd service schema, and sweep cell keys share one serialization; the
 // compact one-line form is Key (parsed back by ParsePortName). Custom ports
 // do not round-trip — the factory is a function — and fail to unmarshal.
 type PortConfig struct {
@@ -187,8 +187,8 @@ type PortConfig struct {
 	// Speculative selects Coded's single-read reconstruction variant
 	// (speculative parity read, replay on stale code).
 	Speculative bool `json:"speculative,omitempty"`
-	// Label distinguishes custom arbiters from each other in names, journal
-	// cell keys, and the lbicd result cache (see CustomPort).
+	// Label distinguishes custom arbiters from each other in names and cell
+	// keys, so in the cell store (see CustomPort).
 	Label string `json:"label,omitempty"`
 
 	// custom holds a user-supplied arbiter factory (see CustomPort).
@@ -242,8 +242,8 @@ func (p PortConfig) Name() string {
 
 // Key returns the port's full configuration identity: Name plus the
 // store-queue depth override, which the display name deliberately omits.
-// It is the serialization used by sweep journal cell keys and the lbicd
-// result cache, and (custom ports aside) ParsePortName inverts it.
+// It is the serialization used by the cell keys of sweeps and lbicd, and
+// (custom ports aside) ParsePortName inverts it.
 func (p PortConfig) Key() string {
 	name := p.Name()
 	if p.StoreQueueDepth != 0 {

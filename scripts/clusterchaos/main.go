@@ -10,8 +10,11 @@
 // It runs a sweep across a coordinator with three workers, SIGKILLs one
 // worker as soon as the first cell lands, and fails unless the job still
 // completes with every report byte-identical to the same cells simulated
-// in-process. It then points a coordinator at dead ports and requires the
-// same sweep to complete by graceful degradation to local execution.
+// in-process. It then restarts the coordinator on the same -store-dir with
+// no reachable workers and requires the sweep to replay from the cell store
+// alone: byte-identical, nothing executed locally or remotely. Last, it
+// points a coordinator at dead ports and requires a request to complete by
+// graceful degradation to local execution.
 //
 // Drill mode (the default) is the load generator: workers run with drop and
 // latency chaos (plus one that SIGKILLs itself mid-run and is restarted, so
@@ -155,8 +158,41 @@ func directReport(bench, portName string, insts uint64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// verifyCells refetches every (benchmark, port) cell from c and fails
+// unless each served report is byte-identical to the single-process bytes.
+// The raw /v1/simulate body is the coordinator's stored copy of exactly what
+// the cluster produced, so this compares the served bytes — not a
+// re-marshaled stream payload — against ground truth.
+func verifyCells(c *client.Client, benches, portNames []string, insts uint64, what string) int {
+	verified := 0
+	for _, b := range benches {
+		for _, p := range portNames {
+			served, err := c.Simulate(context.Background(), client.SimulateRequest{
+				Benchmark: b, Port: client.Port(p), Insts: insts,
+			})
+			if err != nil {
+				log.Fatalf("clusterchaos: refetch %s/%s: %v", b, p, err)
+			}
+			want, err := directReport(b, p, insts)
+			if err != nil {
+				log.Fatalf("clusterchaos: direct %s/%s: %v", b, p, err)
+			}
+			if !bytes.Equal(served, want) {
+				log.Fatalf("clusterchaos: cell %s/%s %s differs from single-process bytes", b, p, what)
+			}
+			verified++
+		}
+	}
+	return verified
+}
+
 func runSmoke(bin string, nWorkers int, insts uint64) {
 	ctx := context.Background()
+	storeDir, err := os.MkdirTemp("", "clusterchaos-store-")
+	if err != nil {
+		log.Fatalf("clusterchaos: %v", err)
+	}
+	defer os.RemoveAll(storeDir)
 
 	var ws []*proc
 	var addrs []string
@@ -165,19 +201,24 @@ func runSmoke(bin string, nWorkers int, insts uint64) {
 		ws = append(ws, w)
 		addrs = append(addrs, w.addr)
 	}
-	coord := start(bin, "-coordinator", "-workers", strings.Join(addrs, ","),
+	coord := start(bin, "-coordinator", "-workers", strings.Join(addrs, ","), "-store-dir", storeDir,
 		"-heartbeat", "250ms", "-evict-after", "2", "-hedge-after", "2s", "-log-level", "error")
-	defer func() {
+	stopAll := func() {
 		coord.stop()
 		for _, w := range ws {
 			w.stop()
 		}
-	}()
+	}
+	defer stopAll()
 
 	c := client.New(coord.addr)
 	benches := []string{"compress", "li", "gcc", "perl"}
-	ports := []client.PortSpec{client.Port("bank-4"), client.Port("lbic-4x2")}
-	st, err := c.Sweep(ctx, client.SweepRequest{Benchmarks: benches, Ports: ports, Insts: insts})
+	portNames := []string{"bank-4", "lbic-4x2"}
+	sweep := client.SweepRequest{Benchmarks: benches, Insts: insts}
+	for _, p := range portNames {
+		sweep.Ports = append(sweep.Ports, client.Port(p))
+	}
+	st, err := c.Sweep(ctx, sweep)
 	if err != nil {
 		log.Fatalf("clusterchaos: sweep: %v", err)
 	}
@@ -209,29 +250,7 @@ func runSmoke(bin string, nWorkers int, insts uint64) {
 		log.Fatalf("clusterchaos: job delivered %d of %d cells", seen, st.Total)
 	}
 
-	// Every cell must match the single-process bytes exactly. The raw
-	// /v1/simulate body is the coordinator's cached copy of exactly what the
-	// surviving cluster produced, so this compares the served bytes — not a
-	// re-marshaled stream payload — against ground truth.
-	verified := 0
-	for _, b := range benches {
-		for _, p := range []string{"bank-4", "lbic-4x2"} {
-			served, err := c.Simulate(ctx, client.SimulateRequest{
-				Benchmark: b, Port: client.Port(p), Insts: insts,
-			})
-			if err != nil {
-				log.Fatalf("clusterchaos: refetch %s/%s: %v", b, p, err)
-			}
-			want, err := directReport(b, p, insts)
-			if err != nil {
-				log.Fatalf("clusterchaos: direct %s/%s: %v", b, p, err)
-			}
-			if !bytes.Equal(served, want) {
-				log.Fatalf("clusterchaos: cell %s/%s served under a SIGKILLed worker differs from single-process bytes", b, p)
-			}
-			verified++
-		}
-	}
+	verified := verifyCells(c, benches, portNames, insts, "served under a SIGKILLed worker")
 	cst, err := c.Cluster(ctx)
 	if err != nil {
 		log.Fatalf("clusterchaos: /v1/cluster: %v", err)
@@ -240,7 +259,45 @@ func runSmoke(bin string, nWorkers int, insts uint64) {
 		"(dispatched %d, retries %d, hedges %d, local fallbacks visible at /metrics)\n",
 		verified, st.Total, cst.Dispatched, cst.Retries, cst.Hedges)
 
+	stopAll()
+	smokeStoreReplay(bin, storeDir, sweep, portNames)
 	smokeDegraded(bin, insts)
+}
+
+// smokeStoreReplay restarts a coordinator on the drill's -store-dir with no
+// reachable workers and replays the sweep: every cell must come from the
+// cell store, byte-identical, with nothing simulated locally or remotely.
+func smokeStoreReplay(bin, storeDir string, sweep client.SweepRequest, portNames []string) {
+	ctx := context.Background()
+	coord := start(bin, "-coordinator", "-workers", "http://127.0.0.1:"+freePort(), "-store-dir", storeDir,
+		"-heartbeat", "100ms", "-evict-after", "1", "-remote-attempts", "1", "-log-level", "error")
+	defer coord.stop()
+
+	c := client.New(coord.addr)
+	st, err := c.Sweep(ctx, sweep)
+	if err != nil {
+		log.Fatalf("clusterchaos: replay sweep: %v", err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.Failed != 0 || st.Done != st.Total {
+		log.Fatalf("clusterchaos: replay job %+v: %v", st, err)
+	}
+	verified := verifyCells(c, sweep.Benchmarks, portNames, sweep.Insts, "replayed from the store")
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		log.Fatalf("clusterchaos: replay /metrics: %v", err)
+	}
+	for _, name := range []string{"server.cells_executed", "server.remote_cells"} {
+		if n, _ := client.CounterValue(snap, name); n != 0 {
+			log.Fatalf("clusterchaos: replay from the store ran cells: %s = %d, want 0", name, n)
+		}
+	}
+	cst, err := c.Cluster(ctx)
+	if err != nil {
+		log.Fatalf("clusterchaos: replay /v1/cluster: %v", err)
+	}
+	fmt.Printf("clusterchaos: store replay ok — restarted coordinator, zero reachable workers, "+
+		"%d/%d cells byte-identical from -store-dir (%d store hits, 0 cells executed)\n",
+		verified, st.Total, cst.StoreHits)
 }
 
 // smokeDegraded proves the zero-workers story: a coordinator whose entire
